@@ -9,6 +9,7 @@ field by name.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,8 +61,10 @@ def _as_int(value, source: str, field: str) -> int:
 
 
 def _as_number(value, source: str, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(source, field, f"expected a number, got {value!r}")
+    # NaN, +-Infinity (json.loads accepts both) and huge integers fail the abs() test.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise _fail(source, field, f"expected a finite number, got {value!r}")
     return float(value)
 
 

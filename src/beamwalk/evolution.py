@@ -9,12 +9,12 @@ port of the next splitter.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import cmath
+import math
 
 import numpy as np
 
-from .apparatus import reachable_sites
-from .coins import CoinParams, build_coin
+from .coins import CoinParams
 from .errors import CapacityError, ScheduleError
 from .schedules import PhaseSchedule
 from .state import WalkerState
@@ -22,27 +22,23 @@ from .state import WalkerState
 __all__ = ["apply_coin_layer", "apply_shift", "step", "coin_field", "evolve"]
 
 
-def apply_coin_layer(state: WalkerState, coins: Mapping[int, np.ndarray]) -> WalkerState:
-    """Apply a beam-splitter coin at every occupied site.
+def apply_coin_layer(state: WalkerState, coins: np.ndarray) -> WalkerState:
+    """Apply a beam-splitter coin at every reachable site.
 
-    ``coins`` maps site -> 2x2 matrix.  A site occupied by the walker
-    with no coin assigned is a schedule error; unoccupied sites may be
-    omitted.  The step index does not change.
+    ``coins`` is a ``(step_index + 1, 2, 2)`` stack: ``coins[j]`` acts on
+    column ``j`` of the state, i.e. on site ``-step_index + 2j``.  Any
+    other shape is a schedule error.  The step index does not change.
     """
-    new = state.amplitudes.copy()
-    for site in reachable_sites(state.step_index):
-        site = int(site)
-        idx = site + state.num_steps
-        matrix = coins.get(site)
-        if matrix is None:
-            if np.any(state.amplitudes[:, idx] != 0):
-                raise ScheduleError(
-                    f"no coin defined for populated site {site} "
-                    f"at step index {state.step_index}"
-                )
-            continue
-        new[:, idx] = np.asarray(matrix, dtype=np.complex128) @ state.amplitudes[:, idx]
-    return WalkerState(new, state.step_index, state.num_steps)
+    coins = np.asarray(coins)
+    expected = (state.step_index + 1, 2, 2)
+    if coins.shape != expected:
+        raise ScheduleError(f"coin layer at step index {state.step_index} needs "
+                            f"a stack of shape {expected}, got {coins.shape}")
+    a0, a1 = state.amplitudes
+    mixed = np.empty_like(state.amplitudes)
+    mixed[0] = coins[:, 0, 0] * a0 + coins[:, 0, 1] * a1
+    mixed[1] = coins[:, 1, 0] * a0 + coins[:, 1, 1] * a1
+    return WalkerState(mixed, state.step_index, state.num_steps)
 
 
 def apply_shift(state: WalkerState) -> WalkerState:
@@ -52,18 +48,16 @@ def apply_shift(state: WalkerState) -> WalkerState:
     label, so the inversion is an involution.
     """
     if state.step_index >= state.num_steps:
-        raise CapacityError(
-            f"cannot shift beyond the allocated lattice: step index "
-            f"{state.step_index} of a {state.num_steps}-step walk"
-        )
+        raise CapacityError(f"cannot shift beyond the allocated lattice: step index "
+                            f"{state.step_index} of a {state.num_steps}-step walk")
     amps = state.amplitudes
-    new = np.zeros_like(amps)
-    new[1, :-1] = amps[0, 1:]
-    new[0, 1:] = amps[1, :-1]
+    new = np.zeros((2, amps.shape[1] + 1), dtype=np.complex128)
+    new[1, :-1] = amps[0]
+    new[0, 1:] = amps[1]
     return WalkerState(new, state.step_index + 1, state.num_steps)
 
 
-def step(state: WalkerState, coins: Mapping[int, np.ndarray]) -> WalkerState:
+def step(state: WalkerState, coins: np.ndarray) -> WalkerState:
     """One walk step: coin layer, then conditional shift."""
     return apply_shift(apply_coin_layer(state, coins))
 
@@ -73,23 +67,24 @@ def coin_field(
     reflectivity: float,
     step_number: int,
     phase_gauge: float = 0.0,
-) -> dict[int, np.ndarray]:
-    """Coin matrices for step ``step_number`` (1-based), keyed by site.
+) -> np.ndarray:
+    """Coin matrices for step ``step_number`` (1-based): a ``(k, 2, 2)``
+    stack, one matrix per site of the step, sites ascending.
 
-    The schedule phase theta enters as the port-0 plate setting with the
-    port-1 plate at zero; ``phase_gauge`` shifts both settings by a
-    constant, which never changes any measured distribution.
+    Matrix j is ``build_coin(CoinParams(reflectivity, theta_j + phase_gauge,
+    phase_gauge))`` bit for bit: the schedule phase sets the port-0 plate,
+    and the gauge shifts both plates, which no distribution can observe.
     """
-    by_theta: dict[float, np.ndarray] = {}
-    field = {}
-    for site in schedule.sites(step_number):
-        theta = schedule.theta(step_number, site)
-        matrix = by_theta.get(theta)
-        if matrix is None:
-            params = CoinParams(reflectivity, theta + phase_gauge, phase_gauge)
-            matrix = by_theta.setdefault(theta, build_coin(params))
-        field[site] = matrix
-    return field
+    CoinParams(reflectivity, phase_gauge, phase_gauge)  # validates R and the gauge
+    r, t = math.sqrt(reflectivity), math.sqrt(1.0 - reflectivity)
+    half_pi = math.pi / 2
+    theta0 = schedule.row(step_number) + phase_gauge
+    coins = np.empty((theta0.size, 2, 2), dtype=np.complex128)
+    coins[:, 0, 0] = r * np.exp(1j * (theta0 + half_pi))
+    coins[:, 0, 1] = t * np.exp(1j * theta0)
+    coins[:, 1, 0] = t * cmath.exp(1j * phase_gauge)
+    coins[:, 1, 1] = r * cmath.exp(1j * (phase_gauge + half_pi))
+    return coins
 
 
 def evolve(
@@ -111,14 +106,12 @@ def evolve(
         raise ValueError(f"steps must be >= 0, got {steps}")
     last_needed = initial.step_index + steps
     if steps > 0 and schedule.num_steps < last_needed:
-        raise ScheduleError(
-            f"schedule covers {schedule.num_steps} steps, but the walk needs "
-            f"{last_needed}"
-        )
+        raise ScheduleError(f"schedule covers {schedule.num_steps} steps, but the walk "
+                            f"needs {last_needed}")
     trajectory = [initial]
     state = initial
     for _ in range(steps):
-        coins = coin_field(schedule, reflectivity, state.step_index + 1, phase_gauge)
-        state = step(state, coins)
+        state = step(state, coin_field(schedule, reflectivity, state.step_index + 1,
+                                       phase_gauge))
         trajectory.append(state)
     return trajectory

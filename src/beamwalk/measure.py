@@ -107,16 +107,12 @@ class LossModel:
 
 def position_distribution(state: WalkerState) -> Distribution:
     """Trace out the coin: P[i] = |p0[i]|^2 + |p1[i]|^2."""
-    powers = np.abs(state.amplitudes) ** 2
-    idx = reachable_sites(state.step_index) + state.num_steps
-    return Distribution(state.step_index, powers[:, idx].sum(axis=0))
+    return Distribution(state.step_index, (np.abs(state.amplitudes) ** 2).sum(axis=0))
 
 
 def measured_powers(state: WalkerState, loss: LossModel) -> np.ndarray:
     """Raw detected powers per reachable site after ``step_index`` lossy passes."""
-    powers = np.abs(state.amplitudes) ** 2
-    idx = reachable_sites(state.step_index) + state.num_steps
-    return loss.eta**state.step_index * powers[:, idx].sum(axis=0)
+    return loss.eta**state.step_index * (np.abs(state.amplitudes) ** 2).sum(axis=0)
 
 
 def renormalize_measured(raw_powers: Sequence[float] | np.ndarray, step: int) -> Distribution:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, ScheduleError
+from .errors import CapacityError
 from .schedules import PhaseSchedule
 from .state import WalkerState
 
@@ -79,11 +79,14 @@ def enumerate_paths(
             f"enumeration of 2^{num_steps} paths exceeds the "
             f"{MAX_ENUMERATION_STEPS}-step guard"
         )
-    if num_steps > 0 and schedule.num_steps < num_steps:
-        raise ScheduleError(
-            f"schedule covers {schedule.num_steps} steps, need {num_steps}"
-        )
-
+    # Splitter entries table[k][site][out][in], one phase lookup per mesh point;
+    # a schedule too short for the walk fails here, before any path is walked.
+    table: list[dict] = [{} for _ in range(num_steps + 1)]
+    for k in range(1, num_steps + 1):
+        for site in schedule.sites(k):
+            theta = schedule.theta(k, site)
+            table[k][site] = [[_entry(reflectivity, theta, out, inp) for inp in (0, 1)]
+                              for out in (0, 1)]
     records: list[PathRecord] = []
 
     def descend(
@@ -96,9 +99,9 @@ def enumerate_paths(
         if step_number > num_steps:
             records.append(PathRecord(choices, coin, site, amplitude))
             return
-        theta = schedule.theta(step_number, site)
+        entries = table[step_number][site]
         for out_port in (0, 1):
-            branch_amp = amplitude * _entry(reflectivity, theta, out_port, coin)
+            branch_amp = amplitude * entries[out_port][coin]
             label = REFLECT if out_port == coin else TRANSMIT
             # Port 0 exits one site down, port 1 one site up; the next
             # splitter sees the inverted coin label.
@@ -128,9 +131,9 @@ def oracle_state(
     if num_steps is None:
         num_steps = schedule.num_steps
     records = enumerate_paths(initial_coin, schedule, reflectivity, num_steps)
-    amps = np.zeros((2, 2 * num_steps + 1), dtype=np.complex128)
+    amps = np.zeros((2, num_steps + 1), dtype=np.complex128)
     for record in records:
-        amps[record.final_coin, record.final_site + num_steps] += record.amplitude
+        amps[record.final_coin, (record.final_site + num_steps) // 2] += record.amplitude
     return WalkerState(amps, num_steps, num_steps)
 
 

@@ -143,13 +143,30 @@ def _schedule_to_json(index: int, schedule: PhaseSchedule) -> dict:
 
 
 def _schedule_from_json(obj: dict, num_steps: int, source: str) -> PhaseSchedule:
+    """Decode one serialized schedule, which must give every light-cone
+    mesh point of a ``num_steps``-step walk exactly once."""
     try:
-        thetas: dict[int, dict[int, float]] = {}
+        thetas: dict = {}
         for k, i, theta in obj["entries"]:
-            thetas.setdefault(int(k), {})[int(i)] = float(theta)
-        return PhaseSchedule(num_steps, thetas)
+            if (k, i) in thetas:
+                raise ValueError(f"entry [{k}, {i}] appears twice")
+            thetas[k, i] = theta
+        points = [(k, i) for k in range(1, num_steps + 1) for i in range(1 - k, k, 2)]
+        if set(thetas) != set(points):
+            raise ValueError(f"entries must cover the {len(points)} mesh points of a "
+                             f"{num_steps}-step walk exactly once")
+        return PhaseSchedule(num_steps, [thetas[point] for point in points])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: bad serialized schedule: {exc}") from exc
+
+
+def _schedules_from_json(raw, config: RunConfig, source: str) -> list[PhaseSchedule]:
+    expected = (config.disorder.realization_count
+                if config.schedule_kind == DISORDERED else 1)
+    if not isinstance(raw, list) or len(raw) != expected:
+        found = len(raw) if isinstance(raw, list) else repr(raw)
+        raise ConfigError(f"{source}: expected {expected} serialized schedule(s), found {found}")
+    return [_schedule_from_json(obj, config.steps, source) for obj in raw]
 
 
 def _validate_outputs(config: RunConfig) -> None:
@@ -271,27 +288,17 @@ def replay(manifest_path: str | Path, output_dir: str | Path | None = None) -> P
 
     config = parse_config(document["config"], source=f"{manifest_path}:config")
     _validate_outputs(config)
-    raw_schedules = document.get("schedules", [])
-    expected = (config.disorder.realization_count
-                if config.schedule_kind == DISORDERED else 1)
-    if len(raw_schedules) != expected:
-        raise ConfigError(
-            f"{manifest_path}: expected {expected} serialized schedule(s), "
-            f"found {len(raw_schedules)}"
-        )
-    schedules = [_schedule_from_json(obj, config.steps, str(manifest_path))
-                 for obj in raw_schedules]
+    schedules = _schedules_from_json(document.get("schedules", []), config,
+                                     str(manifest_path))
 
     reference = None
     if _reference_request(config) is not None:
         bundle = document.get("reference")
         if not isinstance(bundle, dict):
             raise ConfigError(f"{manifest_path}: manifest lacks the reference run data")
-        ref_config = parse_config(bundle["config"], source=f"{manifest_path}:reference")
-        ref_schedules = [
-            _schedule_from_json(obj, ref_config.steps, str(manifest_path))
-            for obj in bundle.get("schedules", [])
-        ]
+        ref_config = parse_config(bundle.get("config"), source=f"{manifest_path}:reference")
+        ref_schedules = _schedules_from_json(bundle.get("schedules", []), ref_config,
+                                             f"{manifest_path}:reference")
         reference = (ref_config, ref_schedules)
 
     out_dir = Path(output_dir) if output_dir is not None else Path(config.output_dir)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .apparatus import reachable_sites
+from .errors import ScheduleError
 
 __all__ = [
     "BINARY_0_PI",
@@ -32,49 +31,63 @@ UNIFORM_0_2PI = "uniform_0_2pi"
 DISORDER_KINDS = (BINARY_0_PI, UNIFORM_0_2PI)
 
 
-@dataclass(frozen=True)
+def _mesh_points(num_steps: int) -> int:
+    """Splitters an ``num_steps``-step walk crosses: step k has k of them."""
+    return num_steps * (num_steps + 1) // 2
+
+
+@dataclass(frozen=True, eq=False)
 class PhaseSchedule:
     """Per-step, per-site phase assignments for an ``num_steps``-step walk.
 
-    ``thetas[k][i]`` is the phase (radians) of the beam splitter the
-    walker meets at site ``i`` during step ``k`` (1-based).  Entries
-    exist exactly for the mesh points reachable from the origin:
-    |i| <= k-1 with i + k - 1 even.
+    ``phases`` holds one phase (radians) per mesh point, packed in
+    (step, site-ascending) order: step k (1-based) owns the k entries
+    ``phases[k(k-1)/2 : k(k+1)/2]``, one for each site i with |i| <= k-1
+    and i + k - 1 even.  The array is read-only; two schedules are equal
+    when their step counts and phases are.
     """
 
     num_steps: int
-    thetas: Mapping[int, Mapping[int, float]]
+    phases: np.ndarray
 
     def __post_init__(self) -> None:
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
-        if set(self.thetas) != set(range(1, self.num_steps + 1)):
-            raise ValueError("schedule must define steps 1..num_steps exactly")
-        for k, row in self.thetas.items():
-            expected = {int(i) for i in reachable_sites(k - 1)}
-            if set(row) != expected:
-                raise ValueError(
-                    f"step {k} must define phases exactly for sites {sorted(expected)}"
-                )
-            for theta in row.values():
-                if not math.isfinite(theta):
-                    raise ValueError(f"step {k} has a non-finite phase")
+        phases = np.array(self.phases, dtype=np.float64)
+        expected = (_mesh_points(self.num_steps),)
+        if phases.shape != expected:
+            raise ValueError(f"a {self.num_steps}-step schedule needs phases of shape "
+                             f"{expected}, one per mesh point, got {phases.shape}")
+        if not np.all(np.isfinite(phases)):
+            raise ValueError("schedule has a non-finite phase")
+        phases.flags.writeable = False
+        object.__setattr__(self, "phases", phases)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PhaseSchedule):
+            return NotImplemented
+        return self.num_steps == other.num_steps and np.array_equal(self.phases, other.phases)
+
+    def row(self, step: int) -> np.ndarray:
+        """Phases of ``step`` (1-based), one per site, sites ascending."""
+        if not 1 <= step <= self.num_steps:
+            raise ScheduleError(f"schedule covers {self.num_steps} steps, not step {step}")
+        return self.phases[_mesh_points(step - 1):_mesh_points(step)]
 
     def theta(self, step: int, site: int) -> float:
         """Phase at mesh point (step, site)."""
-        return self.thetas[step][site]
+        if abs(site) > step - 1 or (site + step - 1) % 2:
+            raise ScheduleError(f"({step}, {site}) is not a mesh point")
+        return float(self.row(step)[(site + step - 1) // 2])
 
     def sites(self, step: int) -> list[int]:
         """Sites holding a beam splitter during ``step``, ascending."""
-        return sorted(self.thetas[step])
+        return list(range(1 - step, step, 2))
 
     def entries(self) -> list[tuple[int, int, float]]:
         """All (step, site, theta) triples in (step, site) order."""
-        return [
-            (k, i, self.thetas[k][i])
-            for k in range(1, self.num_steps + 1)
-            for i in self.sites(k)
-        ]
+        return [(k, i, theta) for k in range(1, self.num_steps + 1)
+                for i, theta in zip(self.sites(k), self.row(k).tolist())]
 
 
 @dataclass(frozen=True)
@@ -100,11 +113,7 @@ def ordered_schedule(num_steps: int, theta: float) -> PhaseSchedule:
     """Constant phase ``theta`` at every mesh point (the ordered walk)."""
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-    thetas = {
-        k: {int(i): float(theta) for i in reachable_sites(k - 1)}
-        for k in range(1, num_steps + 1)
-    }
-    return PhaseSchedule(num_steps, thetas)
+    return PhaseSchedule(num_steps, np.full(_mesh_points(num_steps), float(theta)))
 
 
 def disordered_schedule(
@@ -113,11 +122,11 @@ def disordered_schedule(
     """Draw one disorder realization.
 
     Realization ``j`` consumes a PCG64 stream seeded with
-    ``numpy.random.SeedSequence([spec.seed, j])``, one draw per mesh
-    point in (step, site-ascending) order.  That keyed derivation is the
-    stability contract: the same (seed, index, num_steps) always
-    reproduces the same schedule, and distinct indices use disjoint
-    streams.
+    ``numpy.random.SeedSequence([spec.seed, j])``, one value per mesh
+    point in (step, site-ascending) order, drawn as a single batch.  That
+    keyed derivation is the stability contract: the same (seed, index,
+    num_steps) always reproduces the same schedule, and distinct indices
+    use disjoint streams.
     """
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
@@ -127,15 +136,12 @@ def disordered_schedule(
             f"got {realization_index}"
         )
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, realization_index]))
-    thetas: dict[int, dict[int, float]] = {}
-    for k in range(1, num_steps + 1):
-        sites = reachable_sites(k - 1)
-        if spec.kind == BINARY_0_PI:
-            values = rng.integers(0, 2, size=sites.size) * math.pi
-        else:
-            values = rng.uniform(0.0, 2.0 * math.pi, size=sites.size)
-        thetas[k] = {int(i): float(v) for i, v in zip(sites, values)}
-    return PhaseSchedule(num_steps, thetas)
+    size = _mesh_points(num_steps)
+    if spec.kind == BINARY_0_PI:
+        phases = rng.integers(0, 2, size=size) * math.pi
+    else:
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=size)
+    return PhaseSchedule(num_steps, phases)
 
 
 def ensemble_schedules(num_steps: int, spec: DisorderSpec) -> list[PhaseSchedule]:

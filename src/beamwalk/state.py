@@ -13,15 +13,12 @@ __all__ = ["WalkerState", "delta_state", "initial_state"]
 
 @dataclass(frozen=True, eq=False)
 class WalkerState:
-    """Complex amplitude field over (coin, site) after ``step_index`` steps.
+    """Complex amplitudes over the light cone after ``step_index`` steps.
 
-    ``amplitudes[c, site + num_steps]`` is the coin-c amplitude at
-    ``site``; sites run over [-num_steps, num_steps].  The lattice is
-    sized once for the whole walk: the light cone guarantees a walk of
-    ``num_steps`` steps never touches the boundary.  Entries outside the
-    light cone (|site| > step_index, or site + step_index odd) must be
-    exactly zero; evolution preserves that structure, so it is enforced
-    on construction.
+    ``amplitudes`` has shape ``(2, step_index + 1)``: ``amplitudes[c, j]``
+    is the coin-c amplitude at site ``-step_index + 2j``.  Only reachable
+    sites are stored, so the light cone holds by construction; every other
+    site of the walk's lattice [-num_steps, num_steps] has amplitude 0.
     """
 
     amplitudes: np.ndarray
@@ -29,36 +26,29 @@ class WalkerState:
     num_steps: int
 
     def __post_init__(self) -> None:
-        if self.num_steps < 0:
-            raise ValueError(f"num_steps must be >= 0, got {self.num_steps}")
         if not 0 <= self.step_index <= self.num_steps:
-            raise ValueError(
-                f"step_index must be in [0, {self.num_steps}], got {self.step_index}"
-            )
+            raise ValueError(f"step_index must be in [0, {self.num_steps}], "
+                             f"got {self.step_index}")
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
-        expected = (2, 2 * self.num_steps + 1)
+        expected = (2, self.step_index + 1)
         if amps.shape != expected:
             raise ValueError(f"amplitudes must have shape {expected}, got {amps.shape}")
-        off_cone = np.ones(2 * self.num_steps + 1, dtype=bool)
-        off_cone[reachable_sites(self.step_index) + self.num_steps] = False
-        if np.any(amps[:, off_cone] != 0):
-            raise ValueError(
-                f"amplitudes outside the step-{self.step_index} light cone must be zero"
-            )
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def sites(self) -> np.ndarray:
-        """All lattice sites, -num_steps..num_steps."""
-        return np.arange(-self.num_steps, self.num_steps + 1)
+        """Sites of the stored columns, -step_index..step_index in steps of 2."""
+        return reachable_sites(self.step_index)
 
     def amplitude(self, coin: int, site: int) -> complex:
-        """Amplitude of the (coin, site) mode."""
+        """Amplitude of the (coin, site) mode; 0 off the light cone."""
         if coin not in (0, 1):
             raise ValueError(f"coin must be 0 or 1, got {coin}")
         if abs(site) > self.num_steps:
             raise ValueError(f"site {site} is outside the lattice")
-        return complex(self.amplitudes[coin, site + self.num_steps])
+        if abs(site) > self.step_index or (site + self.step_index) % 2:
+            return 0j
+        return complex(self.amplitudes[coin, (site + self.step_index) // 2])
 
     def norm(self) -> float:
         """L2 norm of the amplitude field (1 for a lossless walk state)."""
@@ -69,10 +59,10 @@ def delta_state(num_steps: int, coin: int, site: int = 0, step_index: int = 0) -
     """State concentrated on a single (coin, site) mode with unit amplitude."""
     if coin not in (0, 1):
         raise ValueError(f"coin must be 0 or 1, got {coin}")
-    amps = np.zeros((2, 2 * num_steps + 1), dtype=np.complex128)
-    if abs(site) > num_steps:
-        raise ValueError(f"site {site} is outside the lattice of num_steps={num_steps}")
-    amps[coin, site + num_steps] = 1.0
+    if abs(site) > step_index or (site + step_index) % 2:
+        raise ValueError(f"site {site} is off the step-{step_index} light cone")
+    amps = np.zeros((2, step_index + 1), dtype=np.complex128)
+    amps[coin, (site + step_index) // 2] = 1.0
     return WalkerState(amps, step_index, num_steps)
 
 

@@ -218,7 +218,7 @@ def test_numerical_violation_exits_two(tmp_path, monkeypatch, capsys):
     def skewed(initial_coin, schedule, reflectivity, num_steps=None):
         state = real(initial_coin, schedule, reflectivity, num_steps)
         amplitudes = state.amplitudes.copy()
-        amplitudes[state.step_index % 2, state.num_steps + state.step_index] += 1e-6
+        amplitudes[state.step_index % 2, -1] += 1e-6  # the site +step_index
         return WalkerState(amplitudes, state.step_index, state.num_steps)
 
     monkeypatch.setattr(runner, "oracle_state", skewed)
@@ -247,3 +247,97 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "out" / "variances.csv").exists()
+
+
+def run_then_load_manifest(tmp_path, config):
+    assert main(["run", str(config)]) == 0
+    return json.loads((tmp_path / "out" / "manifest.json").read_text())
+
+
+def replay_document(tmp_path, manifest):
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(manifest))
+    return main(["replay", str(tampered), "--output-dir", str(tmp_path / "replayed")])
+
+
+@pytest.mark.parametrize("tamper", ["duplicate", "missing", "extra", "off_cone", "bad_phase"])
+def test_replay_rejects_entries_that_miss_or_repeat_mesh_points(tmp_path, capsys, tamper):
+    config = write_config(
+        tmp_path / "run.json",
+        steps=6,
+        schedule_mode={"mode": "disordered", "kind": "binary_0_pi", "seed": 3,
+                       "realization_count": 2},
+        outputs=["distributions"],
+    )
+    manifest = run_then_load_manifest(tmp_path, config)
+    entries = manifest["schedules"][1]["entries"]
+    assert entries[3][:2] == [3, -2]
+    if tamper == "duplicate":
+        entries.append([2, -1, 1.2345])
+    elif tamper == "missing":
+        del entries[3]
+    elif tamper == "extra":
+        entries.append([7, 0, 0.0])
+    elif tamper == "off_cone":
+        entries[3][1] = -1
+    else:
+        entries[3][2] = "pi"
+    capsys.readouterr()
+    assert replay_document(tmp_path, manifest) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "bad serialized schedule" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "replayed" / "distributions.csv").exists()
+
+
+def test_replay_accepts_entries_in_any_order(tmp_path):
+    config = write_config(
+        tmp_path / "run.json",
+        steps=6,
+        schedule_mode={"mode": "disordered", "kind": "uniform_0_2pi", "seed": 3,
+                       "realization_count": 2},
+        outputs=["distributions"],
+    )
+    manifest = run_then_load_manifest(tmp_path, config)
+    for schedule in manifest["schedules"]:
+        schedule["entries"].reverse()
+    assert replay_document(tmp_path, manifest) == 0
+    original = (tmp_path / "out" / "distributions.csv").read_bytes()
+    assert (tmp_path / "replayed" / "distributions.csv").read_bytes() == original
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_replay_checks_the_reference_schedule_count(tmp_path, capsys, count):
+    write_config(
+        tmp_path / "ref.json",
+        schedule_mode={"mode": "disordered", "seed": 4, "realization_count": 2},
+        outputs=["distributions"],
+    )
+    config = write_config(tmp_path / "run.json", outputs=[{"similarity_vs": "ref.json"}])
+    manifest = run_then_load_manifest(tmp_path, config)
+    schedules = manifest["reference"]["schedules"]
+    assert len(schedules) == 2
+    manifest["reference"]["schedules"] = (schedules * 2)[:count]
+    capsys.readouterr()
+    assert replay_document(tmp_path, manifest) == 1
+    err = capsys.readouterr().err
+    assert f"expected 2 serialized schedule(s), found {count}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+# json writes the floats as NaN, Infinity and -Infinity, which json.loads
+# reads back; 10**400 is an integer literal no float can hold.
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("field", ["theta", "reflectivity", "loss_eta"])
+def test_non_finite_numbers_exit_one(tmp_path, capsys, field, value):
+    overrides = {
+        "theta": {"schedule_mode": {"mode": "ordered", "theta": value}},
+        "reflectivity": {"reflectivity": value},
+        "loss_eta": {"loss_eta": value},
+    }[field]
+    config = write_config(tmp_path / "run.json", **overrides)
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "finite number" in err
+    assert len(err.strip().splitlines()) == 1

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from beamwalk import (
+    UNIFORM_0_2PI,
     CapacityError,
     CoinParams,
+    DisorderSpec,
     ScheduleError,
     WalkerState,
     apply_coin_layer,
@@ -11,6 +13,7 @@ from beamwalk import (
     build_coin,
     coin_field,
     delta_state,
+    disordered_schedule,
     evolve,
     initial_state,
     ordered_schedule,
@@ -26,7 +29,7 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def everywhere(coin, step_index):
-    return {int(site): coin for site in reachable_sites(step_index)}
+    return np.stack([coin] * (step_index + 1))
 
 
 def test_shift_moves_coin_zero_down_and_inverts():
@@ -42,9 +45,7 @@ def test_shift_moves_coin_one_up_and_inverts():
 
 def test_shift_is_linear_on_superpositions():
     a, b = 0.3 - 0.4j, 0.7 + 0.2j
-    amps = np.zeros((2, 5), dtype=complex)
-    amps[0, 2], amps[1, 2] = a, b
-    state = apply_shift(WalkerState(amps, 0, 2))
+    state = apply_shift(WalkerState(np.array([[a], [b]]), 0, 2))
     assert state.amplitude(1, -1) == pytest.approx(a)
     assert state.amplitude(0, 1) == pytest.approx(b)
 
@@ -71,21 +72,27 @@ def test_identity_like_coin_leaves_state_unchanged():
 
 
 def test_balanced_coin_on_coin_one_input():
-    after = apply_coin_layer(initial_state(1), {0: BALANCED})
+    after = apply_coin_layer(initial_state(1), BALANCED[None])
     assert after.amplitude(0, 0) == pytest.approx(INV_SQRT2)
     assert after.amplitude(1, 0) == pytest.approx(1j * INV_SQRT2)
 
 
 def test_missing_coin_for_populated_site_is_a_schedule_error():
-    with pytest.raises(ScheduleError, match="site 0"):
-        apply_coin_layer(initial_state(2), {})
+    with pytest.raises(ScheduleError, match="shape"):
+        apply_coin_layer(initial_state(2), np.empty((0, 2, 2)))
 
 
-def test_missing_coin_for_empty_site_is_allowed():
-    # only site -1 is populated; omitting the coin at +1 must not raise
+def test_missing_coin_for_empty_site_is_a_schedule_error():
+    # the stack covers every reachable site, populated or not: a coin at
+    # -1 alone is one short for step index 1
     state = delta_state(2, coin=1, site=-1, step_index=1)
-    after = apply_coin_layer(state, {-1: BALANCED})
-    assert abs(after.norm() - 1.0) < 1e-12
+    with pytest.raises(ScheduleError, match=r"\(2, 2, 2\)"):
+        apply_coin_layer(state, BALANCED[None])
+
+
+def test_coin_stack_of_wrong_matrix_shape_is_a_schedule_error():
+    with pytest.raises(ScheduleError, match="shape"):
+        apply_coin_layer(initial_state(2), np.ones((1, 2, 3)))
 
 
 @pytest.mark.parametrize("step_index", [0, 1, 3])
@@ -98,8 +105,19 @@ def test_coin_layer_preserves_norm(step_index, reflectivity):
     assert abs(after.norm() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("step_index", [0, 1, 4, 9])
+def test_coin_layer_equals_the_per_site_matmul_bit_for_bit(step_index):
+    # reference: one 2x2 matrix-vector product per site, as a loop
+    rng = np.random.default_rng(40 + step_index)
+    state = random_walker_state(10, step_index, rng)
+    field = random_coin_field(reachable_sites(step_index), 0.44, rng)
+    looped = np.stack([field[j] @ state.amplitudes[:, j] for j in range(step_index + 1)],
+                      axis=1)
+    assert apply_coin_layer(state, field).amplitudes.tobytes() == looped.tobytes()
+
+
 def test_single_step_pinned_amplitudes():
-    after = step(initial_state(1), {0: BALANCED})
+    after = step(initial_state(1), BALANCED[None])
     assert after.amplitude(1, -1) == pytest.approx(INV_SQRT2)
     assert after.amplitude(0, 1) == pytest.approx(1j * INV_SQRT2)
     dist = position_distribution(after)
@@ -114,7 +132,7 @@ def test_two_steps_interfere_to_half_at_origin():
 
 
 def test_full_mirror_ping_pongs_with_phase_i():
-    after = step(delta_state(1, coin=0), {0: build_coin(CoinParams(1.0))})
+    after = step(delta_state(1, coin=0), build_coin(CoinParams(1.0))[None])
     assert after.amplitude(1, -1) == pytest.approx(1j)
     np.testing.assert_allclose(position_distribution(after).probs, [1.0, 0.0], atol=1e-12)
 
@@ -190,7 +208,19 @@ def test_opposite_initial_coins_walk_mirrored_paths():
         np.testing.assert_allclose(p_a, p_b[::-1], atol=1e-12)
 
 
-def test_coin_field_reuses_matrices_for_equal_phases():
-    field = coin_field(ordered_schedule(4, 0.2), 0.5, 3)
-    assert set(field) == {-2, 0, 2}
-    assert field[-2] is field[0]
+def test_coin_field_stacks_build_coin_bit_for_bit():
+    schedule = disordered_schedule(6, DisorderSpec(UNIFORM_0_2PI, 8, 1), 0)
+    for reflectivity in (0.0, 0.3, 0.44, 0.5, 1.0):
+        for gauge in (0.0, 0.7, -2.5):
+            for step_number in range(1, 7):
+                field = coin_field(schedule, reflectivity, step_number, gauge)
+                assert field.shape == (step_number, 2, 2)
+                for j, site in enumerate(schedule.sites(step_number)):
+                    theta = schedule.theta(step_number, site)
+                    expected = build_coin(CoinParams(reflectivity, theta + gauge, gauge))
+                    assert field[j].tobytes() == expected.tobytes()
+
+
+def test_coin_field_rejects_a_bad_reflectivity():
+    with pytest.raises(ValueError, match="reflectivity"):
+        coin_field(ordered_schedule(2, 0.0), 1.5, 1)

@@ -1,0 +1,85 @@
+"""Golden values pinning bit-exact schedules and kernel output.
+
+The digests were recorded from the dict-of-dicts schedule and per-site
+coin loop that preceded the packed-array core (commit 85ba039), so they
+pin two contracts across that rewrite: a seed gives the same phases, and
+the evolution gives the same amplitudes to the last bit.  Both digests
+are taken through the public accessors (``entries()`` and
+``amplitude()``), which read the same under either storage layout.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from beamwalk import (
+    BINARY_0_PI,
+    UNIFORM_0_2PI,
+    DisorderSpec,
+    disordered_schedule,
+    evolve,
+    initial_state,
+    ordered_schedule,
+)
+from beamwalk.apparatus import reachable_sites
+
+SEED = 20190129
+
+SCHEDULE_SHA256 = {
+    (BINARY_0_PI, 7, 0): "0334d88d94fd8e1485825c6d313fb82adf3ca547d5858821ce411c421da8c2b6",
+    (BINARY_0_PI, 7, 1): "6f0cb8ea7df923a6442425772510c5bbf16ab087e66e2f127a1cb1a4cfa693fa",
+    (BINARY_0_PI, 50, 0): "6ffb8a527097ae22a4bff36973233c9de575f357be3d011aa367bf685676ec66",
+    (BINARY_0_PI, 50, 1): "e2ddca05e7d5a6cff95387f465493b56367143e9480bef03b0b1c8073d4de957",
+    (BINARY_0_PI, 201, 0): "0ab80ad342f37e8c565b26b8ae4b47802b46521765d0409ed72914bb0f8c3e3c",
+    (BINARY_0_PI, 201, 1): "6c5599ad5d6b7851fef50a29c33050ab427f51166b9c3acb1604cff50cdda3bc",
+    (UNIFORM_0_2PI, 7, 0): "7f6ae6d45207860a1ba30937007de71e3236527a862c1991810c5ca898185af3",
+    (UNIFORM_0_2PI, 7, 1): "58c9b875c8e3b8542623115fdf74a3703fd640dc95c0d2be3daaf03601166cbf",
+    (UNIFORM_0_2PI, 50, 0): "88ccc47dcc41b244948efb1ca6125490eac43b91509761f7a88498e0ea93c841",
+    (UNIFORM_0_2PI, 50, 1): "8277a1606694370c7f9bae6df70c7d425f0b7187d2cd5036ec0607f5caa8c813",
+    (UNIFORM_0_2PI, 201, 0): "62e6f305961d6d8765cb543dfcc192c7b7fe15e5b564d0300d6d36b5d41df6bf",
+    (UNIFORM_0_2PI, 201, 1): "993a095f117de598c70bdfa9604e3a4b4246df9e20887b5215d7d094b0fc5eef",
+}
+
+# (label, schedule factory, reflectivity, phase_gauge) -> digest of the
+# final light-cone amplitudes, coin-major, sites ascending, '<c16'.
+KERNEL_SHA256 = {
+    "ordered-theta0-R0.5-N64": (
+        lambda: ordered_schedule(64, 0.0), 0.5, 0.0,
+        "fdeab57af56ab0035ead2f54acd92e8443933522c97b53607ddd67e97fcfc446",
+    ),
+    "binary-seed42-R0.44-N50": (
+        lambda: disordered_schedule(50, DisorderSpec(BINARY_0_PI, 42, 1), 0), 0.44, 0.0,
+        "cac02a5fa9f05b1814285004cd502c6a20a1c202114700c7786d87fa57348cbf",
+    ),
+    "uniform-seed7-R0.3-N50-gauge0.7": (
+        lambda: disordered_schedule(50, DisorderSpec(UNIFORM_0_2PI, 7, 1), 0), 0.3, 0.7,
+        "dcb4a7b913e7b4061c462a78d18ebc213fed55dd410c6dd7b62de29ac1f5cc11",
+    ),
+}
+
+
+def sha256_of(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind,num_steps,index", sorted(SCHEDULE_SHA256))
+def test_schedule_phases_match_recorded_digest(kind, num_steps, index):
+    schedule = disordered_schedule(num_steps, DisorderSpec(kind, SEED, 2), index)
+    phases = np.array([theta for _, _, theta in schedule.entries()], dtype="<f8")
+    assert phases.size == num_steps * (num_steps + 1) // 2
+    assert sha256_of(phases) == SCHEDULE_SHA256[kind, num_steps, index]
+
+
+@pytest.mark.parametrize("label", sorted(KERNEL_SHA256))
+def test_final_amplitudes_match_recorded_digest(label):
+    make_schedule, reflectivity, gauge, digest = KERNEL_SHA256[label]
+    schedule = make_schedule()
+    final = evolve(initial_state(schedule.num_steps), schedule, reflectivity,
+                   phase_gauge=gauge)[-1]
+    sites = reachable_sites(final.step_index)
+    amps = np.array(
+        [[final.amplitude(coin, int(site)) for site in sites] for coin in (0, 1)],
+        dtype="<c16",
+    )
+    assert sha256_of(amps) == digest

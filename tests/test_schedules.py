@@ -8,6 +8,7 @@ from beamwalk import (
     UNIFORM_0_2PI,
     DisorderSpec,
     PhaseSchedule,
+    ScheduleError,
     disordered_schedule,
     ensemble_schedules,
     ordered_schedule,
@@ -126,9 +127,51 @@ def test_disorder_spec_validation():
 
 
 def test_phase_schedule_rejects_wrong_support():
-    with pytest.raises(ValueError, match="steps 1..num_steps"):
-        PhaseSchedule(2, {1: {0: 0.0}})
-    with pytest.raises(ValueError, match="sites"):
-        PhaseSchedule(2, {1: {0: 0.0}, 2: {0: 0.0}})
+    with pytest.raises(ValueError, match="one per mesh point"):
+        PhaseSchedule(2, [0.0])
+    with pytest.raises(ValueError, match="one per mesh point"):
+        PhaseSchedule(2, [0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="one per mesh point"):
+        PhaseSchedule(2, [[0.0], [0.0], [0.0]])
     with pytest.raises(ValueError, match="finite"):
-        PhaseSchedule(1, {1: {0: float("inf")}})
+        PhaseSchedule(1, [float("inf")])
+    with pytest.raises(ValueError, match="finite"):
+        PhaseSchedule(2, [0.0, float("nan"), 0.0])
+
+
+def test_packed_phases_follow_step_then_site_order():
+    schedule = PhaseSchedule(3, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    assert schedule.row(1).tolist() == [0.1]
+    assert schedule.row(2).tolist() == [0.2, 0.3]
+    assert schedule.row(3).tolist() == [0.4, 0.5, 0.6]
+    assert schedule.sites(3) == [-2, 0, 2]
+    assert schedule.theta(2, -1) == 0.2 and schedule.theta(3, 2) == 0.6
+    assert [theta for _, _, theta in schedule.entries()] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+    assert [(k, i) for k, i, _ in schedule.entries()] == [
+        (1, 0), (2, -1), (2, 1), (3, -2), (3, 0), (3, 2)
+    ]
+
+
+def test_off_cone_lookups_are_schedule_errors():
+    schedule = ordered_schedule(3, 0.0)
+    for step, site in [(0, 0), (4, 0), (2, 0), (3, 3), (1, 1)]:
+        with pytest.raises(ScheduleError):
+            schedule.theta(step, site)
+    with pytest.raises(ScheduleError):
+        schedule.row(4)
+
+
+def test_phases_are_read_only_and_copied():
+    source = np.zeros(3)
+    schedule = PhaseSchedule(2, source)
+    source[0] = 1.0
+    assert schedule.theta(1, 0) == 0.0
+    with pytest.raises(ValueError):
+        schedule.phases[0] = 1.0
+
+
+def test_equality_is_by_value():
+    assert ordered_schedule(3, 0.5) == PhaseSchedule(3, [0.5] * 6)
+    assert ordered_schedule(3, 0.5) != ordered_schedule(3, 0.25)
+    assert ordered_schedule(2, 0.5) != ordered_schedule(3, 0.5)
+    assert ordered_schedule(2, 0.5) != "schedule"
