@@ -15,19 +15,15 @@ from .evolution import apply_coin_layer, apply_shift, coin_field, evolve, step
 from .measure import (
     Distribution,
     DistributionSeries,
-    LossModel,
     bhattacharyya_partials,
     ensemble_mean_series,
-    measured_distribution,
-    measured_powers,
     position_distribution,
-    renormalize_measured,
     series_from_trajectory,
     similarity,
     variance,
     variance_series,
 )
-from .oracle import PathRecord, enumerate_paths, oracle_state, write_paths_csv
+from .oracle import PathRecord, enumerate_paths, oracle_state
 from .schedules import (
     BINARY_0_PI,
     UNIFORM_0_2PI,
@@ -49,7 +45,6 @@ __all__ = [
     "DisorderSpec",
     "Distribution",
     "DistributionSeries",
-    "LossModel",
     "ModeLocus",
     "NumericalInvariantError",
     "PathRecord",
@@ -70,18 +65,14 @@ __all__ = [
     "evolve",
     "initial_state",
     "is_unitary",
-    "measured_distribution",
-    "measured_powers",
     "mode_locus",
     "oracle_state",
     "ordered_schedule",
     "position_distribution",
     "reachable_sites",
-    "renormalize_measured",
     "series_from_trajectory",
     "similarity",
     "step",
     "variance",
     "variance_series",
-    "write_paths_csv",
 ]

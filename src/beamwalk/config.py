@@ -44,7 +44,7 @@ class RunConfig:
     disorder: DisorderSpec | None = None
     initial_coin: int = 1
     initial_site: int = 0
-    loss_eta: float = 1.0
+    loss_eta: float = 1.0  # validated and echoed so older configs parse; affects nothing
     outputs: tuple[str | SimilarityVs, ...] = ("distributions", "variances")
     output_dir: str = "out"
     normalize_to_step_max: bool = False
@@ -125,8 +125,9 @@ def _parse_outputs(value, source: str) -> tuple[str | SimilarityVs, ...]:
         elif isinstance(item, Mapping):
             _reject_unknown(item, ("similarity_vs",), source, field)
             reference = item.get("similarity_vs")
-            if not isinstance(reference, str) or not reference:
-                raise _fail(source, f"{field}.similarity_vs", "expected a config file path")
+            if not isinstance(reference, str) or not reference or "\0" in reference:
+                raise _fail(source, f"{field}.similarity_vs",
+                            "expected a config file path with no NUL character")
             parsed.append(SimilarityVs(reference))
         else:
             raise _fail(source, field, f"expected an output name or object, got {item!r}")
@@ -202,8 +203,9 @@ def parse_config(document: str | Mapping, source: str = "<config>") -> RunConfig
     )
 
     output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise _fail(source, "output_dir", f"expected a nonempty path, got {output_dir!r}")
+    if not isinstance(output_dir, str) or not output_dir or "\0" in output_dir:
+        raise _fail(source, "output_dir",
+                    f"expected a nonempty path with no NUL character, got {output_dir!r}")
 
     normalize = raw.get("normalize_to_step_max", False)
     if not isinstance(normalize, bool):
@@ -231,6 +233,8 @@ def load_config(path: str | Path) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not UTF-8: {exc.reason}") from exc
     return parse_config(text, source=str(path))
 
 

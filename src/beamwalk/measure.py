@@ -1,10 +1,8 @@
 """Measurement-side statistics.
 
 Distributions are taken by tracing out the coin: the power detected at a
-site is the sum of its two coin-mode intensities.  A uniform per-step
-intensity transmission emulates optical losses; renormalizing the
-detected powers recovers a unit-sum distribution, so lossless theory and
-loss-emulated measurement coincide after renormalization.
+site is the sum of its two coin-mode intensities, divided by the step's
+total so every row sums to 1.
 """
 
 from __future__ import annotations
@@ -20,11 +18,7 @@ from .state import WalkerState
 __all__ = [
     "Distribution",
     "DistributionSeries",
-    "LossModel",
     "position_distribution",
-    "measured_powers",
-    "renormalize_measured",
-    "measured_distribution",
     "variance",
     "variance_series",
     "similarity",
@@ -94,46 +88,10 @@ class DistributionSeries:
         return DistributionSeries(tuple(r for r in self.rows if r.step in wanted))
 
 
-@dataclass(frozen=True)
-class LossModel:
-    """Uniform per-step intensity transmission."""
-
-    eta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-
-
 def position_distribution(state: WalkerState) -> Distribution:
-    """Trace out the coin: P[i] = |p0[i]|^2 + |p1[i]|^2."""
-    return Distribution(state.step_index, (np.abs(state.amplitudes) ** 2).sum(axis=0))
-
-
-def measured_powers(state: WalkerState, loss: LossModel) -> np.ndarray:
-    """Raw detected powers per reachable site after ``step_index`` lossy passes."""
-    return loss.eta**state.step_index * (np.abs(state.amplitudes) ** 2).sum(axis=0)
-
-
-def renormalize_measured(raw_powers: Sequence[float] | np.ndarray, step: int) -> Distribution:
-    """Normalize raw per-site powers into a step-``step`` distribution."""
-    raw = np.asarray(raw_powers, dtype=np.float64)
-    if raw.shape != (step + 1,):
-        raise ValueError(
-            f"step-{step} measurement needs {step + 1} site powers, got shape {raw.shape}"
-        )
-    if np.any(raw < 0):
-        raise ValueError("measured powers must be nonnegative")
-    total = float(raw.sum())
-    if total <= 0.0:
-        raise ValueError("all measured powers are zero; nothing to normalize")
-    return Distribution(step, raw / total)
-
-
-def measured_distribution(state: WalkerState, loss: LossModel | None = None) -> Distribution:
-    """Loss-emulated measurement of ``state``: attenuate, detect, renormalize."""
-    loss = loss if loss is not None else LossModel()
-    return renormalize_measured(measured_powers(state, loss), state.step_index)
+    """Trace out the coin: P[i] = |p0[i]|^2 + |p1[i]|^2, over the row sum."""
+    powers = (np.abs(state.amplitudes) ** 2).sum(axis=0)
+    return Distribution(state.step_index, powers / float(powers.sum()))
 
 
 def variance(dist: Distribution) -> float:
@@ -160,8 +118,9 @@ def similarity(a: DistributionSeries, b: DistributionSeries) -> float:
             / ((sum_{j,i} G_i(s_j)) (sum_{j,i} G'_i(s_j)))
 
     1 exactly when the series coincide, 0 when every step has disjoint
-    support.  The denominator is computed rather than assumed, so the
-    formula also applies to raw-power rows normalized only approximately.
+    support.  The denominator is computed rather than taken as
+    ``len(steps)**2``: each row sums to 1 only to within rounding, and
+    computing it keeps the bytes of ``similarity.txt``.
     """
     _check_same_steps(a, b)
     overlap = sum(bhattacharyya_partials(a, b))
@@ -202,7 +161,6 @@ def ensemble_mean_series(runs: Sequence[DistributionSeries]) -> DistributionSeri
 def series_from_trajectory(
     trajectory: Sequence[WalkerState],
     steps: Iterable[int] | None = None,
-    loss: LossModel | None = None,
 ) -> DistributionSeries:
     """Distributions at the selected steps of a trajectory (default: all)."""
     by_step = {state.step_index: state for state in trajectory}
@@ -210,5 +168,5 @@ def series_from_trajectory(
     missing = [k for k in wanted if k not in by_step]
     if missing:
         raise ValueError(f"trajectory has no states at steps {missing}")
-    rows = tuple(measured_distribution(by_step[k], loss) for k in wanted)
+    rows = tuple(position_distribution(by_step[k]) for k in wanted)
     return DistributionSeries(rows)

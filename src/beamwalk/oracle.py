@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "PathRecord",
     "enumerate_paths",
     "oracle_state",
-    "write_paths_csv",
 ]
 
 MAX_ENUMERATION_STEPS = 20
@@ -135,15 +133,3 @@ def oracle_state(
     for record in records:
         amps[record.final_coin, (record.final_site + num_steps) // 2] += record.amplitude
     return WalkerState(amps, num_steps, num_steps)
-
-
-def write_paths_csv(records: list[PathRecord], path: str | Path) -> None:
-    """Debug dump of path records; choices are encoded one R/T letter per step."""
-    lines = ["path_index,choices,final_coin,final_site,re_amp,im_amp"]
-    for index, record in enumerate(records):
-        choices = "".join("R" if c == REFLECT else "T" for c in record.choices)
-        lines.append(
-            f"{index},{choices},{record.final_coin},{record.final_site},"
-            f"{record.amplitude.real:.12g},{record.amplitude.imag:.12g}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

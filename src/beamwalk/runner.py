@@ -20,7 +20,6 @@ from .errors import ConfigError, NumericalInvariantError
 from .evolution import evolve
 from .measure import (
     DistributionSeries,
-    LossModel,
     bhattacharyya_partials,
     ensemble_mean_series,
     series_from_trajectory,
@@ -57,8 +56,7 @@ def _simulate(
     config: RunConfig, schedules: list[PhaseSchedule]
 ) -> tuple[list[DistributionSeries], list[WalkerState]]:
     """Evolve every realization; returns per-realization series (steps
-    0..N, loss-emulated measurement) and the final states."""
-    loss = LossModel(config.loss_eta)
+    0..N) and the final states."""
     series_all: list[DistributionSeries] = []
     finals: list[WalkerState] = []
     for index, schedule in enumerate(schedules):
@@ -71,7 +69,7 @@ def _simulate(
                     f"norm drift {drift:.3e} at step {state.step_index} of "
                     f"realization {index} exceeds {NORM_TOLERANCE:.0e}"
                 )
-        series_all.append(series_from_trajectory(trajectory, loss=loss))
+        series_all.append(series_from_trajectory(trajectory))
         finals.append(trajectory[-1])
     return series_all, finals
 
@@ -180,6 +178,14 @@ def _validate_outputs(config: RunConfig) -> None:
         )
 
 
+def _check_reference_steps(config: RunConfig, ref_config: RunConfig, source: str) -> None:
+    if ref_config.steps != config.steps:
+        raise ConfigError(
+            f"{source}: reference run has {ref_config.steps} steps, "
+            f"this run has {config.steps}; similarity needs matching steps"
+        )
+
+
 def _reference_request(config: RunConfig) -> SimilarityVs | None:
     for item in config.outputs:
         if isinstance(item, SimilarityVs):
@@ -261,11 +267,7 @@ def run(
         if not ref_path.is_absolute():
             ref_path = base / ref_path
         ref_config = load_config(ref_path)
-        if ref_config.steps != config.steps:
-            raise ConfigError(
-                f"{ref_path}: reference run has {ref_config.steps} steps, "
-                f"this run has {config.steps}; similarity needs matching steps"
-            )
+        _check_reference_steps(config, ref_config, str(ref_path))
         reference = (ref_config, _schedules_for(ref_config))
 
     out_dir = Path(output_dir) if output_dir is not None else Path(config.output_dir)
@@ -281,6 +283,8 @@ def replay(manifest_path: str | Path, output_dir: str | Path | None = None) -> P
     manifest_path = Path(manifest_path)
     try:
         document = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{manifest_path}: manifest is not UTF-8: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{manifest_path}: invalid manifest JSON: {exc.msg}") from exc
     if not isinstance(document, dict) or "config" not in document:
@@ -297,6 +301,7 @@ def replay(manifest_path: str | Path, output_dir: str | Path | None = None) -> P
         if not isinstance(bundle, dict):
             raise ConfigError(f"{manifest_path}: manifest lacks the reference run data")
         ref_config = parse_config(bundle.get("config"), source=f"{manifest_path}:reference")
+        _check_reference_steps(config, ref_config, f"{manifest_path}:reference")
         ref_schedules = _schedules_from_json(bundle.get("schedules", []), ref_config,
                                              f"{manifest_path}:reference")
         reference = (ref_config, ref_schedules)

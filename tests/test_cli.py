@@ -174,23 +174,25 @@ def test_replay_honors_tampered_schedules(tmp_path):
     assert (replayed / "distributions.csv").read_bytes() != original
 
 
-def test_uniform_loss_cancels_after_renormalization(tmp_path):
-    lossless = write_config(
-        tmp_path / "a.json", outputs=["distributions"], output_dir=str(tmp_path / "a")
-    )
+# R = 0.44 over 400 steps is where scaling each step by eta**k and dividing
+# it back out moves 12th digits, and 0.1**400 underflows to 0.0.
+@pytest.mark.parametrize("steps", [3, 400])
+@pytest.mark.parametrize("loss_eta", [0.8, 0.1])
+def test_uniform_loss_cancels_after_renormalization(tmp_path, loss_eta, steps):
+    common = {"steps": steps, "reflectivity": 0.44, "outputs": ["distributions", "variances"]}
+    lossless = write_config(tmp_path / "a.json", output_dir=str(tmp_path / "a"), **common)
     lossy = write_config(
         tmp_path / "b.json",
-        outputs=["distributions"],
+        **common,
         output_dir=str(tmp_path / "b"),
-        loss_eta=0.8,
+        loss_eta=loss_eta,
     )
     assert main(["run", str(lossless)]) == 0
     assert main(["run", str(lossy)]) == 0
-    _, rows_a = read_rows(tmp_path / "a" / "distributions.csv")
-    _, rows_b = read_rows(tmp_path / "b" / "distributions.csv")
-    for (sa, ia, pa), (sb, ib, pb) in zip(rows_a, rows_b):
-        assert (sa, ia) == (sb, ib)
-        assert float(pa) == pytest.approx(float(pb), abs=1e-12)
+    for name in ["distributions.csv", "variances.csv"]:
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["config"]["loss_eta"] == loss_eta
 
 
 def test_bad_config_exits_one_and_names_the_field(tmp_path, capsys):
@@ -325,6 +327,31 @@ def test_replay_checks_the_reference_schedule_count(tmp_path, capsys, count):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_run_checks_the_reference_step_count(tmp_path, capsys):
+    write_config(tmp_path / "ref.json", steps=4)
+    config = write_config(tmp_path / "run.json", outputs=[{"similarity_vs": "ref.json"}])
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "reference run has 4 steps, this run has 3" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_replay_checks_the_reference_step_count(tmp_path, capsys):
+    write_config(tmp_path / "ref.json", outputs=["distributions"])
+    config = write_config(tmp_path / "run.json", outputs=[{"similarity_vs": "ref.json"}])
+    manifest = run_then_load_manifest(tmp_path, config)
+    longer = write_config(tmp_path / "ref4.json", steps=4, output_dir=str(tmp_path / "ref4"))
+    assert main(["run", str(longer)]) == 0
+    longer_manifest = json.loads((tmp_path / "ref4" / "manifest.json").read_text())
+    manifest["reference"] = {key: longer_manifest[key] for key in ("config", "schedules")}
+    capsys.readouterr()
+    assert replay_document(tmp_path, manifest) == 1
+    err = capsys.readouterr().err
+    assert "reference run has 4 steps, this run has 3" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "replayed" / "similarity.txt").exists()
+
+
 # json writes the floats as NaN, Infinity and -Infinity, which json.loads
 # reads back; 10**400 is an integer literal no float can hold.
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
@@ -341,3 +368,58 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert field in err and "finite number" in err
     assert len(err.strip().splitlines()) == 1
+
+
+STEP_1 = {"steps": 1, "reflectivity": 0.5}
+COMPARED = dict(STEP_1, outputs=[{"similarity_vs": "ref.json"}])
+SCHEDULES_1 = [{"realization_index": 0, "entries": [[1, 0, 0.0]]}]
+NOT_UTF8 = b'{"steps": 1, "reflectivity": 0.5, "output_dir": "\xff"}'
+
+# command, then the files to write; the first file is the one passed to main.
+MALFORMED_INPUTS = {
+    "config-not-utf8": ("run", {"run.json": NOT_UTF8}),
+    "reference-not-utf8": ("run", {"run.json": COMPARED, "ref.json": NOT_UTF8}),
+    "nul-in-output_dir": ("run", {"run.json": dict(STEP_1, output_dir="out\0x")}),
+    "nul-in-similarity_vs": (
+        "run", {"run.json": dict(STEP_1, outputs=[{"similarity_vs": "ref\0.json"}])}
+    ),
+    "manifest-not-utf8": ("replay", {"manifest.json": NOT_UTF8}),
+    "manifest-nul-in-output_dir": (
+        "replay",
+        {"manifest.json": {"config": dict(STEP_1, output_dir="out\0x"),
+                           "schedules": SCHEDULES_1}},
+    ),
+    "manifest-not-json": ("replay", {"manifest.json": b"{not json"}),
+    "manifest-a-list": ("replay", {"manifest.json": [STEP_1]}),
+    "manifest-without-config": ("replay", {"manifest.json": {"schedules": SCHEDULES_1}}),
+    "manifest-bad-config": (
+        "replay", {"manifest.json": {"config": dict(STEP_1, steps=0), "schedules": SCHEDULES_1}}
+    ),
+    "schedules-not-a-list": ("replay", {"manifest.json": {"config": STEP_1, "schedules": 5}}),
+    "schedule-without-entries": ("replay", {"manifest.json": {"config": STEP_1, "schedules": [{}]}}),
+    "reference-data-missing": (
+        "replay",
+        {"manifest.json": {"config": COMPARED, "schedules": SCHEDULES_1, "reference": None}},
+    ),
+    "reference-without-config": (
+        "replay",
+        {"manifest.json": {"config": COMPARED, "schedules": SCHEDULES_1,
+                           "reference": {"schedules": SCHEDULES_1}}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_exits_one_without_a_traceback(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    command, files = MALFORMED_INPUTS[case]
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(
+            content if isinstance(content, bytes) else json.dumps(content).encode()
+        )
+    assert main([command, next(iter(files))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("beamwalk: config error:")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

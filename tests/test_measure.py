@@ -4,16 +4,13 @@ import pytest
 from beamwalk import (
     Distribution,
     DistributionSeries,
-    LossModel,
+    WalkerState,
     delta_state,
     ensemble_mean_series,
     evolve,
     initial_state,
-    measured_distribution,
-    measured_powers,
     ordered_schedule,
     position_distribution,
-    renormalize_measured,
     series_from_trajectory,
     similarity,
     variance,
@@ -50,49 +47,10 @@ def test_three_step_distribution(ordered_walk):
     np.testing.assert_allclose(measured.probs, [1 / 8, 5 / 8, 1 / 8, 1 / 8], atol=1e-12)
 
 
-def test_renormalize_uniform_raw_powers():
-    measured = renormalize_measured([2.0, 2.0], step=1)
-    np.testing.assert_allclose(measured.probs, [0.5, 0.5])
-
-
-def test_renormalize_plain_arithmetic():
-    measured = renormalize_measured([1.0, 0.0, 3.0], step=2)
-    np.testing.assert_allclose(measured.probs, [0.25, 0.0, 0.75])
-
-
-@pytest.mark.parametrize("scale", [1e-6, 0.5, 3.0, 1e6])
-def test_renormalize_is_scale_invariant(scale):
-    raw = np.array([0.3, 0.1, 0.0, 0.6])
-    a = renormalize_measured(raw, step=3)
-    b = renormalize_measured(scale * raw, step=3)
-    np.testing.assert_allclose(a.probs, b.probs, atol=1e-15)
-
-
-def test_renormalize_rejects_degenerate_measurements():
-    with pytest.raises(ValueError, match="zero"):
-        renormalize_measured([0.0, 0.0], step=1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        renormalize_measured([0.5, -0.1], step=1)
-    with pytest.raises(ValueError, match="site powers"):
-        renormalize_measured([1.0, 1.0], step=2)
-
-
-def test_loss_emulation_cancels_after_renormalization(ordered_walk):
-    lossy = measured_distribution(ordered_walk[5], LossModel(eta=0.8))
-    ideal = position_distribution(ordered_walk[5])
-    np.testing.assert_allclose(lossy.probs, ideal.probs, atol=1e-12)
-
-
-def test_measured_powers_decay_with_the_step(ordered_walk):
-    raw = measured_powers(ordered_walk[3], LossModel(eta=0.5))
-    assert raw.sum() == pytest.approx(0.5**3)
-
-
-def test_loss_model_validation():
-    with pytest.raises(ValueError, match="eta"):
-        LossModel(0.0)
-    with pytest.raises(ValueError, match="eta"):
-        LossModel(1.1)
+def test_coin_trace_is_divided_by_its_row_sum():
+    # norm^2 = 0.72: the row still sums to 1, not to the state's norm
+    state = WalkerState(np.array([[0.6, 0.0], [0.0, 0.6]], dtype=complex), 1, 1)
+    np.testing.assert_array_equal(position_distribution(state).probs, [0.5, 0.5])
 
 
 def test_variance_of_a_point_mass_is_zero():

@@ -13,7 +13,6 @@ from beamwalk import (
     oracle_state,
     ordered_schedule,
     position_distribution,
-    write_paths_csv,
 )
 from beamwalk.oracle import REFLECT, TRANSMIT
 
@@ -134,22 +133,6 @@ def test_enumeration_guard_rejects_large_walks():
 def test_short_schedule_rejected():
     with pytest.raises(ScheduleError, match="covers 2"):
         enumerate_paths(0, ordered_schedule(2, 0.0), 0.5, num_steps=3)
-
-
-def test_paths_csv_dump(tmp_path):
-    records = enumerate_paths(1, ordered_schedule(2, 0.0), 0.5)
-    target = tmp_path / "paths.csv"
-    write_paths_csv(records, target)
-    lines = target.read_text().splitlines()
-    assert lines[0] == "path_index,choices,final_coin,final_site,re_amp,im_amp"
-    assert len(lines) == 5
-    index, choices, coin, site, re_amp, im_amp = lines[1].split(",")
-    assert index == "0"
-    assert set(choices) <= {"R", "T"} and len(choices) == 2
-    record = records[0]
-    assert int(coin) == record.final_coin and int(site) == record.final_site
-    assert float(re_amp) == pytest.approx(record.amplitude.real)
-    assert float(im_amp) == pytest.approx(record.amplitude.imag)
 
 
 def test_labels_distinguish_reflection_from_transmission():
