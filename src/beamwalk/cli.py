@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import as_path, load_config
 from .errors import ConfigError, NumericalInvariantError
 from .runner import replay, run
 
@@ -37,18 +37,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="execute a run described by a JSON config")
-    run_parser.add_argument("config", type=Path, help="path of the config document")
+    run_parser.add_argument("config", help="path of the config document")
     run_parser.add_argument(
-        "--output-dir", type=Path, default=None,
+        "--output-dir", default=None,
         help="write outputs here instead of the config's output_dir",
     )
 
     replay_parser = sub.add_parser(
         "replay", help="re-run a manifest using its serialized phase schedules"
     )
-    replay_parser.add_argument("manifest", type=Path, help="path of a run manifest")
+    replay_parser.add_argument("manifest", help="path of a run manifest")
     replay_parser.add_argument(
-        "--output-dir", type=Path, default=None,
+        "--output-dir", default=None,
         help="write outputs here instead of the manifest's output_dir",
     )
     return parser
@@ -58,12 +58,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        output_dir = args.output_dir
+        if output_dir is not None:
+            output_dir = as_path(output_dir, "command line", "--output-dir")
         if args.command == "run":
-            config = load_config(args.config)
-            manifest = run(config, base_dir=args.config.parent,
-                           output_dir=args.output_dir)
+            config_path = Path(as_path(args.config, "command line", "config"))
+            manifest = run(load_config(config_path), base_dir=config_path.parent,
+                           output_dir=output_dir)
         else:
-            manifest = replay(args.manifest, output_dir=args.output_dir)
+            manifest = replay(as_path(args.manifest, "command line", "manifest"),
+                              output_dir=output_dir)
     except ConfigError as exc:
         print(f"beamwalk: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

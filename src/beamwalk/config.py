@@ -60,12 +60,25 @@ def _as_int(value, source: str, field: str) -> int:
     return value
 
 
-def _as_number(value, source: str, field: str) -> float:
+def is_finite_number(value) -> bool:
+    """True for an int or float (not a bool) that converts to a finite float."""
     # NaN, +-Infinity (json.loads accepts both) and huge integers fail the abs() test.
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max)
+
+
+def _as_number(value, source: str, field: str) -> float:
+    if not is_finite_number(value):
         raise _fail(source, field, f"expected a finite number, got {value!r}")
     return float(value)
+
+
+def as_path(value, source: str, field: str) -> str:
+    """``value`` if it is a nonempty path string; a NUL, which no file
+    system call accepts, is a ``ConfigError`` rather than a ``ValueError``."""
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise _fail(source, field, f"expected a nonempty path with no NUL character, got {value!r}")
+    return value
 
 
 def _as_mapping(value, source: str, field: str) -> Mapping:
@@ -124,10 +137,7 @@ def _parse_outputs(value, source: str) -> tuple[str | SimilarityVs, ...]:
             parsed.append(item)
         elif isinstance(item, Mapping):
             _reject_unknown(item, ("similarity_vs",), source, field)
-            reference = item.get("similarity_vs")
-            if not isinstance(reference, str) or not reference or "\0" in reference:
-                raise _fail(source, f"{field}.similarity_vs",
-                            "expected a config file path with no NUL character")
+            reference = as_path(item.get("similarity_vs"), source, f"{field}.similarity_vs")
             parsed.append(SimilarityVs(reference))
         else:
             raise _fail(source, field, f"expected an output name or object, got {item!r}")
@@ -202,10 +212,7 @@ def parse_config(document: str | Mapping, source: str = "<config>") -> RunConfig
         else ("distributions", "variances")
     )
 
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir or "\0" in output_dir:
-        raise _fail(source, "output_dir",
-                    f"expected a nonempty path with no NUL character, got {output_dir!r}")
+    output_dir = as_path(raw.get("output_dir", "out"), source, "output_dir")
 
     normalize = raw.get("normalize_to_step_max", False)
     if not isinstance(normalize, bool):

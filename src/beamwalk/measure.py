@@ -48,10 +48,11 @@ class Distribution:
                 f"step-{self.step} distribution needs {self.step + 1} entries, "
                 f"got shape {probs.shape}"
             )
-        if np.any(probs < 0):
+        # Written so that NaN fails both checks.
+        if not np.all(probs >= 0):
             raise ValueError("probabilities must be nonnegative")
         total = float(probs.sum())
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"probabilities must sum to 1 (got {total!r})")
         object.__setattr__(self, "probs", probs)
 

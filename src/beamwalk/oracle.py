@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .apparatus import reachable_sites
 from .errors import CapacityError
 from .schedules import PhaseSchedule
 from .state import WalkerState
@@ -81,8 +82,7 @@ def enumerate_paths(
     # a schedule too short for the walk fails here, before any path is walked.
     table: list[dict] = [{} for _ in range(num_steps + 1)]
     for k in range(1, num_steps + 1):
-        for site in schedule.sites(k):
-            theta = schedule.theta(k, site)
+        for site, theta in zip(reachable_sites(k - 1).tolist(), schedule.row(k).tolist()):
             table[k][site] = [[_entry(reflectivity, theta, out, inp) for inp in (0, 1)]
                               for out in (0, 1)]
     records: list[PathRecord] = []

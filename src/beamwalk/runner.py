@@ -15,7 +15,8 @@ import numpy as np
 
 from . import __version__
 from .apparatus import layout_table
-from .config import DISORDERED, RunConfig, SimilarityVs, config_echo, load_config, parse_config
+from .config import (DISORDERED, RunConfig, SimilarityVs, config_echo, is_finite_number,
+                     load_config, parse_config)
 from .errors import ConfigError, NumericalInvariantError
 from .evolution import evolve
 from .measure import (
@@ -133,28 +134,18 @@ def _write_similarity(path: Path, mean: DistributionSeries,
     _write_lines(path, lines)
 
 
-def _schedule_to_json(index: int, schedule: PhaseSchedule) -> dict:
-    return {
-        "realization_index": index,
-        "entries": [[k, i, theta] for k, i, theta in schedule.entries()],
-    }
-
-
-def _schedule_from_json(obj: dict, num_steps: int, source: str) -> PhaseSchedule:
-    """Decode one serialized schedule, which must give every light-cone
-    mesh point of a ``num_steps``-step walk exactly once."""
+def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
+    """Decode one serialized schedule: the packed phases of a
+    ``num_steps``-step walk, as ``PhaseSchedule.phases`` orders them."""
     try:
-        thetas: dict = {}
-        for k, i, theta in obj["entries"]:
-            if (k, i) in thetas:
-                raise ValueError(f"entry [{k}, {i}] appears twice")
-            thetas[k, i] = theta
-        points = [(k, i) for k in range(1, num_steps + 1) for i in range(1 - k, k, 2)]
-        if set(thetas) != set(points):
-            raise ValueError(f"entries must cover the {len(points)} mesh points of a "
-                             f"{num_steps}-step walk exactly once")
-        return PhaseSchedule(num_steps, [thetas[point] for point in points])
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(raw, list):
+            raise TypeError("expected a flat list of phases (the 0.2 format), "
+                            f"got {type(raw).__name__}")
+        for phase in raw:
+            if not is_finite_number(phase):
+                raise ValueError(f"expected a finite number, got {phase!r}")
+        return PhaseSchedule(num_steps, raw)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: bad serialized schedule: {exc}") from exc
 
 
@@ -231,17 +222,17 @@ def _execute(
         "artifact": {"name": "beamwalk", "version": __version__},
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": config_echo(config),
-        "schedules": [_schedule_to_json(j, s) for j, s in enumerate(schedules)],
+        "schedules": [schedule.phases.tolist() for schedule in schedules],
         "reference": None,
     }
     if reference is not None:
         ref_config, ref_schedules = reference
         manifest["reference"] = {
             "config": config_echo(ref_config),
-            "schedules": [_schedule_to_json(j, s) for j, s in enumerate(ref_schedules)],
+            "schedules": [schedule.phases.tolist() for schedule in ref_schedules],
         }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n",
+    manifest_path.write_text(json.dumps(manifest, separators=(",", ":")) + "\n",
                              encoding="utf-8", newline="\n")
     return manifest_path
 

@@ -74,21 +74,6 @@ class PhaseSchedule:
             raise ScheduleError(f"schedule covers {self.num_steps} steps, not step {step}")
         return self.phases[_mesh_points(step - 1):_mesh_points(step)]
 
-    def theta(self, step: int, site: int) -> float:
-        """Phase at mesh point (step, site)."""
-        if abs(site) > step - 1 or (site + step - 1) % 2:
-            raise ScheduleError(f"({step}, {site}) is not a mesh point")
-        return float(self.row(step)[(site + step - 1) // 2])
-
-    def sites(self, step: int) -> list[int]:
-        """Sites holding a beam splitter during ``step``, ascending."""
-        return list(range(1 - step, step, 2))
-
-    def entries(self) -> list[tuple[int, int, float]]:
-        """All (step, site, theta) triples in (step, site) order."""
-        return [(k, i, theta) for k in range(1, self.num_steps + 1)
-                for i, theta in zip(self.sites(k), self.row(k).tolist())]
-
 
 @dataclass(frozen=True)
 class DisorderSpec:

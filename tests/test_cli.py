@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from beamwalk import WalkerState
+from beamwalk import BINARY_0_PI, DisorderSpec, WalkerState, disordered_schedule
 from beamwalk.cli import main
 
 
@@ -127,13 +127,17 @@ def test_manifest_echoes_config_and_schedules(tmp_path):
         schedule_mode={"mode": "disordered", "seed": 11, "realization_count": 2},
     )
     assert main(["run", str(config)]) == 0
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    text = (tmp_path / "out" / "manifest.json").read_text()
+    assert len(text.splitlines()) == 1  # compact separators, no indentation
+    manifest = json.loads(text)
     assert manifest["artifact"]["name"] == "beamwalk"
     assert manifest["config"]["steps"] == 3
-    assert len(manifest["schedules"]) == 2
-    entries = manifest["schedules"][0]["entries"]
-    assert len(entries) == 1 + 2 + 3
-    assert all(theta in (0.0, np.pi) for _, _, theta in entries)
+    # one flat list of packed phases per realization, in index order
+    spec = DisorderSpec(BINARY_0_PI, seed=11, realization_count=2)
+    assert manifest["schedules"] == [
+        disordered_schedule(3, spec, j).phases.tolist() for j in range(2)
+    ]
+    assert all(len(phases) == 1 + 2 + 3 for phases in manifest["schedules"])
 
 
 def test_replay_reproduces_the_data_files(tmp_path):
@@ -164,8 +168,7 @@ def test_replay_honors_tampered_schedules(tmp_path):
     assert main(["run", str(config)]) == 0
     manifest_path = tmp_path / "out" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    for schedule in manifest["schedules"]:
-        schedule["entries"] = [[k, i, 0.0] for k, i, _ in schedule["entries"]]
+    manifest["schedules"] = [[0.0] * len(phases) for phases in manifest["schedules"]]
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(manifest))
     replayed = tmp_path / "replayed"
@@ -262,7 +265,37 @@ def replay_document(tmp_path, manifest):
     return main(["replay", str(tampered), "--output-dir", str(tmp_path / "replayed")])
 
 
-@pytest.mark.parametrize("tamper", ["duplicate", "missing", "extra", "off_cone", "bad_phase"])
+def entries_of_version_0_1(phases, num_steps):
+    """The [k, i, theta] triples a beamwalk 0.1 manifest stored."""
+    points = [(k, i) for k in range(1, num_steps + 1) for i in range(1 - k, k, 2)]
+    return [[k, i, theta] for (k, i), theta in zip(points, phases)]
+
+
+def with_fourth_phase(value):
+    return lambda phases: phases[:3] + [value] + phases[4:]
+
+
+# tamper -> how it edits realization 1's packed phases of a 6-step walk;
+# each result must be refused, as the 0.1 entries format is.  json writes
+# the floats as NaN and Infinity, and 10**400 as an integer literal.
+TAMPERS = {
+    "missing": lambda phases: phases[:3] + phases[4:],
+    "extra": lambda phases: phases + [0.0],
+    "duplicate": lambda phases: phases[:4] + phases[3:],
+    "bad_phase": with_fourth_phase("pi"),
+    "numeric-string": with_fourth_phase("0.5"),
+    "true": with_fourth_phase(True),
+    "null": with_fourth_phase(None),
+    "nested-list": with_fourth_phase([0.1]),
+    "nan": with_fourth_phase(float("nan")),
+    "infinity": with_fourth_phase(float("inf")),
+    "1e400": with_fourth_phase(10**400),
+    "entries-0.1": lambda phases: {"realization_index": 1,
+                                   "entries": entries_of_version_0_1(phases, 6)},
+}
+
+
+@pytest.mark.parametrize("tamper", list(TAMPERS))
 def test_replay_rejects_entries_that_miss_or_repeat_mesh_points(tmp_path, capsys, tamper):
     config = write_config(
         tmp_path / "run.json",
@@ -272,40 +305,14 @@ def test_replay_rejects_entries_that_miss_or_repeat_mesh_points(tmp_path, capsys
         outputs=["distributions"],
     )
     manifest = run_then_load_manifest(tmp_path, config)
-    entries = manifest["schedules"][1]["entries"]
-    assert entries[3][:2] == [3, -2]
-    if tamper == "duplicate":
-        entries.append([2, -1, 1.2345])
-    elif tamper == "missing":
-        del entries[3]
-    elif tamper == "extra":
-        entries.append([7, 0, 0.0])
-    elif tamper == "off_cone":
-        entries[3][1] = -1
-    else:
-        entries[3][2] = "pi"
+    assert len(manifest["schedules"][1]) == 21
+    manifest["schedules"][1] = TAMPERS[tamper](manifest["schedules"][1])
     capsys.readouterr()
     assert replay_document(tmp_path, manifest) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "bad serialized schedule" in err
     assert len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "replayed" / "distributions.csv").exists()
-
-
-def test_replay_accepts_entries_in_any_order(tmp_path):
-    config = write_config(
-        tmp_path / "run.json",
-        steps=6,
-        schedule_mode={"mode": "disordered", "kind": "uniform_0_2pi", "seed": 3,
-                       "realization_count": 2},
-        outputs=["distributions"],
-    )
-    manifest = run_then_load_manifest(tmp_path, config)
-    for schedule in manifest["schedules"]:
-        schedule["entries"].reverse()
-    assert replay_document(tmp_path, manifest) == 0
-    original = (tmp_path / "out" / "distributions.csv").read_bytes()
-    assert (tmp_path / "replayed" / "distributions.csv").read_bytes() == original
+    assert not (tmp_path / "replayed").exists()
 
 
 @pytest.mark.parametrize("count", [0, 1, 3])
@@ -372,7 +379,7 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, field, value):
 
 STEP_1 = {"steps": 1, "reflectivity": 0.5}
 COMPARED = dict(STEP_1, outputs=[{"similarity_vs": "ref.json"}])
-SCHEDULES_1 = [{"realization_index": 0, "entries": [[1, 0, 0.0]]}]
+SCHEDULES_1 = [[0.0]]
 NOT_UTF8 = b'{"steps": 1, "reflectivity": 0.5, "output_dir": "\xff"}'
 
 # command, then the files to write; the first file is the one passed to main.
@@ -423,3 +430,21 @@ def test_malformed_input_exits_one_without_a_traceback(tmp_path, monkeypatch, ca
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# A NUL cannot reach argv from a shell, but a Python caller can pass one.
+@pytest.mark.parametrize("argv", [
+    ["run", "c\0.json"],
+    ["replay", "m\0.json"],
+    ["run", "run.json", "--output-dir", "o\0x"],
+    ["replay", "out/manifest.json", "--output-dir", "o\0x"],
+], ids=["run-config", "replay-manifest", "run-output-dir", "replay-output-dir"])
+def test_nul_in_a_command_line_path_exits_one(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "run.json")
+    assert main(["run", "run.json"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("beamwalk: config error:") and "NUL" in err
+    assert len(err.strip().splitlines()) == 1

@@ -215,8 +215,9 @@ def test_coin_field_stacks_build_coin_bit_for_bit():
             for step_number in range(1, 7):
                 field = coin_field(schedule, reflectivity, step_number, gauge)
                 assert field.shape == (step_number, 2, 2)
-                for j, site in enumerate(schedule.sites(step_number)):
-                    theta = schedule.theta(step_number, site)
+                thetas = schedule.row(step_number).tolist()
+                assert len(thetas) == len(reachable_sites(step_number - 1))
+                for j, theta in enumerate(thetas):
                     expected = build_coin(CoinParams(reflectivity, theta + gauge, gauge))
                     assert field[j].tobytes() == expected.tobytes()
 

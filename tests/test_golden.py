@@ -3,9 +3,11 @@
 The digests were recorded from the dict-of-dicts schedule and per-site
 coin loop that preceded the packed-array core (commit 85ba039), so they
 pin two contracts across that rewrite: a seed gives the same phases, and
-the evolution gives the same amplitudes to the last bit.  Both digests
-are taken through the public accessors (``entries()`` and
-``amplitude()``), which read the same under either storage layout.
+the evolution gives the same amplitudes to the last bit.  The schedule
+digests hash ``PhaseSchedule.phases``; they were recorded from the
+(step, site)-ordered triples the old schedule listed, so they also pin
+that the packed order is that order.  The kernel digests are taken
+through ``amplitude()``, which reads the same under either state layout.
 """
 
 import hashlib
@@ -66,9 +68,8 @@ def sha256_of(array: np.ndarray) -> str:
 @pytest.mark.parametrize("kind,num_steps,index", sorted(SCHEDULE_SHA256))
 def test_schedule_phases_match_recorded_digest(kind, num_steps, index):
     schedule = disordered_schedule(num_steps, DisorderSpec(kind, SEED, 2), index)
-    phases = np.array([theta for _, _, theta in schedule.entries()], dtype="<f8")
-    assert phases.size == num_steps * (num_steps + 1) // 2
-    assert sha256_of(phases) == SCHEDULE_SHA256[kind, num_steps, index]
+    assert schedule.phases.size == num_steps * (num_steps + 1) // 2
+    assert sha256_of(schedule.phases.astype("<f8")) == SCHEDULE_SHA256[kind, num_steps, index]
 
 
 @pytest.mark.parametrize("label", sorted(KERNEL_SHA256))

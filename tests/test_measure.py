@@ -181,3 +181,11 @@ def test_distribution_validation():
         dist(1, [0.7, 0.7])
     with pytest.raises(ValueError, match="increasing"):
         series((2, [0.25, 0.5, 0.25]), (1, [0.5, 0.5]))
+
+
+# NaN compares false with everything, so checks written as `probs < 0` or
+# `abs(total - 1) > tol` would let it through.
+@pytest.mark.parametrize("step,probs", [(0, [float("nan")]), (1, [float("nan"), 1.0])])
+def test_distribution_rejects_nan(step, probs):
+    with pytest.raises(ValueError, match="probabilities must"):
+        Distribution(step, probs)

@@ -23,22 +23,21 @@ def mesh_point_count(num_steps: int) -> int:
 
 def test_ordered_schedule_is_constant_everywhere():
     schedule = ordered_schedule(3, 0.0)
-    assert all(theta == 0.0 for _, _, theta in schedule.entries())
+    assert schedule.phases.tolist() == [0.0] * 6
 
 
 def test_single_step_schedule_has_one_mesh_point():
     schedule = ordered_schedule(1, math.pi)
-    assert schedule.entries() == [(1, 0, math.pi)]
+    assert schedule.phases.tolist() == [math.pi]
+    assert schedule.row(1).tolist() == [math.pi]
 
 
 def test_schedule_support_matches_the_light_cone():
     schedule = ordered_schedule(7, 0.3)
-    entries = schedule.entries()
-    assert len(entries) == mesh_point_count(7) == 28
-    for k, i, theta in entries:
-        assert abs(i) <= k - 1
-        assert (i + k - 1) % 2 == 0
-        assert theta == 0.3
+    assert schedule.phases.shape == (mesh_point_count(7),) == (28,)
+    for k in range(1, 8):
+        assert len(schedule.row(k)) == len(reachable_sites(k - 1))
+        assert schedule.row(k).tolist() == [0.3] * k
 
 
 def test_zero_steps_rejected():
@@ -56,30 +55,26 @@ def test_disordered_schedule_is_deterministic():
 def test_disordered_realizations_differ():
     spec = DisorderSpec(BINARY_0_PI, seed=99, realization_count=4)
     schedules = [disordered_schedule(7, spec, j) for j in range(4)]
-    assert len({tuple(s.entries()) for s in schedules}) == 4
+    assert len({s.phases.tobytes() for s in schedules}) == 4
 
 
 def test_binary_disorder_draws_only_zero_and_pi():
     spec = DisorderSpec(BINARY_0_PI, seed=1, realization_count=1)
     schedule = disordered_schedule(7, spec, 0)
-    assert all(theta in (0.0, math.pi) for _, _, theta in schedule.entries())
+    assert set(schedule.phases.tolist()) <= {0.0, math.pi}
 
 
 def test_uniform_disorder_stays_in_range():
     spec = DisorderSpec(UNIFORM_0_2PI, seed=1, realization_count=1)
     schedule = disordered_schedule(7, spec, 0)
-    assert all(0.0 <= theta < 2.0 * math.pi for _, _, theta in schedule.entries())
+    assert np.all((0.0 <= schedule.phases) & (schedule.phases < 2.0 * math.pi))
 
 
 def test_binary_draws_are_unbiased():
     # 400 x 28 = 11200 >= 10000 draws; the empirical mean of theta/pi
     # sits within +-6 sigma of 1/2 for a fair coin
     spec = DisorderSpec(BINARY_0_PI, seed=7, realization_count=400)
-    draws = [
-        theta / math.pi
-        for schedule in ensemble_schedules(7, spec)
-        for _, _, theta in schedule.entries()
-    ]
+    draws = np.concatenate([schedule.phases for schedule in ensemble_schedules(7, spec)]) / math.pi
     assert len(draws) >= 10_000
     assert 0.47 <= np.mean(draws) <= 0.53
 
@@ -87,7 +82,7 @@ def test_binary_draws_are_unbiased():
 def test_hundred_realizations_are_pairwise_distinct():
     spec = DisorderSpec(BINARY_0_PI, seed=42, realization_count=100)
     schedules = ensemble_schedules(7, spec)
-    assert len({tuple(s.entries()) for s in schedules}) == 100
+    assert len({s.phases.tobytes() for s in schedules}) == 100
 
 
 def test_ensemble_is_indexed_in_order():
@@ -144,28 +139,21 @@ def test_packed_phases_follow_step_then_site_order():
     assert schedule.row(1).tolist() == [0.1]
     assert schedule.row(2).tolist() == [0.2, 0.3]
     assert schedule.row(3).tolist() == [0.4, 0.5, 0.6]
-    assert schedule.sites(3) == [-2, 0, 2]
-    assert schedule.theta(2, -1) == 0.2 and schedule.theta(3, 2) == 0.6
-    assert [theta for _, _, theta in schedule.entries()] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-    assert [(k, i) for k, i, _ in schedule.entries()] == [
-        (1, 0), (2, -1), (2, 1), (3, -2), (3, 0), (3, 2)
-    ]
+    assert schedule.phases.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
 
 
-def test_off_cone_lookups_are_schedule_errors():
+def test_rows_outside_the_schedule_are_schedule_errors():
     schedule = ordered_schedule(3, 0.0)
-    for step, site in [(0, 0), (4, 0), (2, 0), (3, 3), (1, 1)]:
+    for step in (0, 4):
         with pytest.raises(ScheduleError):
-            schedule.theta(step, site)
-    with pytest.raises(ScheduleError):
-        schedule.row(4)
+            schedule.row(step)
 
 
 def test_phases_are_read_only_and_copied():
     source = np.zeros(3)
     schedule = PhaseSchedule(2, source)
     source[0] = 1.0
-    assert schedule.theta(1, 0) == 0.0
+    assert schedule.row(1).tolist() == [0.0]
     with pytest.raises(ValueError):
         schedule.phases[0] = 1.0
 
