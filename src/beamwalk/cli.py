@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 config error, 2 violated numerical invariant,
-3 I/O failure.
+3 I/O failure.  A run that does not fit in memory is a config error: it
+exits 1 with one line, not a traceback.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ def main(argv: list[str] | None = None) -> int:
                               output_dir=output_dir)
     except ConfigError as exc:
         print(f"beamwalk: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"beamwalk: config error: run does not fit in memory: "
+              f"{str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalInvariantError as exc:
         print(f"beamwalk: numerical invariant violated: {exc}", file=sys.stderr)

@@ -1,11 +1,14 @@
 """Brute-force path-sum cross-check for the matrix evolution.
 
 An N-step walk branches once per splitter, so there are exactly 2^N
-branch histories.  This module enumerates all of them, multiplying the
-splitter matrix element picked at each mesh point, and coherently sums
-the results.  It deliberately shares no evolution code with
-``evolution.py`` (splitter entries are recomputed here from the optical
-parameters) so the two implementations can validate each other.
+branch histories.  This module enumerates all of them as the integers
+0..2^N-1, one bit per splitter, multiplies the splitter matrix element
+picked at each mesh point, and coherently sums the results.  The products
+are spelled out in float64 and summed in history order, so the result is
+bit-identical to a scalar recursion over the same histories.  It
+deliberately shares no evolution code with ``evolution.py`` (splitter
+entries are recomputed here from the optical parameters) so the two
+implementations can validate each other.
 """
 
 from __future__ import annotations
@@ -16,19 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apparatus import reachable_sites
 from .errors import CapacityError
 from .schedules import PhaseSchedule
 from .state import WalkerState
 
-__all__ = [
-    "MAX_ENUMERATION_STEPS",
-    "REFLECT",
-    "TRANSMIT",
-    "PathRecord",
-    "enumerate_paths",
-    "oracle_state",
-]
+__all__ = ["MAX_ENUMERATION_STEPS", "REFLECT", "TRANSMIT", "PathRecord",
+           "enumerate_paths", "oracle_state"]
 
 MAX_ENUMERATION_STEPS = 20
 
@@ -57,6 +53,45 @@ def _entry(reflectivity: float, theta: float, out_port: int, in_port: int) -> co
     return magnitude * cmath.exp(1j * phase)
 
 
+def _path_sum(initial_coin: int, schedule: PhaseSchedule, reflectivity: float, num_steps: int,
+              reflected: list[np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
+    """Every history's amplitude (re, im), final coin and final column.
+    History p leaves splitter k by out-port (p >> (num_steps - k)) & 1, most
+    significant bit first, so port 0 precedes port 1 at every splitter.
+    ``reflected``, if given, gets one mask per step: which histories reflect."""
+    if initial_coin not in (0, 1):
+        raise ValueError(f"initial_coin must be 0 or 1, got {initial_coin}")
+    if not 0.0 <= reflectivity <= 1.0:
+        raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
+    if num_steps < 0:
+        raise ValueError(f"num_steps must be >= 0, got {num_steps}")
+    if num_steps > MAX_ENUMERATION_STEPS:
+        raise CapacityError(
+            f"enumeration of 2^{num_steps} paths exceeds the "
+            f"{MAX_ENUMERATION_STEPS}-step guard"
+        )
+    # Splitter entries table[k-1][column, out, in], one phase lookup per mesh
+    # point; a schedule too short for the walk fails here, before any path.
+    table = [np.array([[[_entry(reflectivity, theta, out, inp) for inp in (0, 1)]
+                        for out in (0, 1)] for theta in schedule.row(k).tolist()])
+             for k in range(1, num_steps + 1)]
+    paths = np.arange(2**num_steps)
+    coin, column = np.full(paths.size, initial_coin), np.zeros(paths.size, dtype=np.intp)
+    re, im = np.ones(paths.size), np.zeros(paths.size)
+    for k, entries in enumerate(table, start=1):
+        out = (paths >> (num_steps - k)) & 1
+        if reflected is not None:
+            reflected.append(out == coin)
+        entry = entries[column, out, coin]
+        # Python's complex product, term by term, so every bit matches.
+        re, im = re * entry.real - im * entry.imag, re * entry.imag + im * entry.real
+        # Port 0 exits one site down, port 1 one site up; the next splitter
+        # sees the inverted coin label.
+        coin = 1 - out
+        column += out
+    return re, im, coin, column
+
+
 def enumerate_paths(
     initial_coin: int,
     schedule: PhaseSchedule,
@@ -65,54 +100,16 @@ def enumerate_paths(
 ) -> list[PathRecord]:
     """All 2^num_steps branch histories, in lexicographic branch order
     (port 0 before port 1 at every splitter)."""
-    if initial_coin not in (0, 1):
-        raise ValueError(f"initial_coin must be 0 or 1, got {initial_coin}")
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
     if num_steps is None:
         num_steps = schedule.num_steps
-    if num_steps < 0:
-        raise ValueError(f"num_steps must be >= 0, got {num_steps}")
-    if num_steps > MAX_ENUMERATION_STEPS:
-        raise CapacityError(
-            f"enumeration of 2^{num_steps} paths exceeds the "
-            f"{MAX_ENUMERATION_STEPS}-step guard"
-        )
-    # Splitter entries table[k][site][out][in], one phase lookup per mesh point;
-    # a schedule too short for the walk fails here, before any path is walked.
-    table: list[dict] = [{} for _ in range(num_steps + 1)]
-    for k in range(1, num_steps + 1):
-        for site, theta in zip(reachable_sites(k - 1).tolist(), schedule.row(k).tolist()):
-            table[k][site] = [[_entry(reflectivity, theta, out, inp) for inp in (0, 1)]
-                              for out in (0, 1)]
-    records: list[PathRecord] = []
-
-    def descend(
-        step_number: int,
-        coin: int,
-        site: int,
-        amplitude: complex,
-        choices: tuple[str, ...],
-    ) -> None:
-        if step_number > num_steps:
-            records.append(PathRecord(choices, coin, site, amplitude))
-            return
-        entries = table[step_number][site]
-        for out_port in (0, 1):
-            branch_amp = amplitude * entries[out_port][coin]
-            label = REFLECT if out_port == coin else TRANSMIT
-            # Port 0 exits one site down, port 1 one site up; the next
-            # splitter sees the inverted coin label.
-            descend(
-                step_number + 1,
-                1 - out_port,
-                site + (1 if out_port == 1 else -1),
-                branch_amp,
-                choices + (label,),
-            )
-
-    descend(1, initial_coin, 0, 1.0 + 0.0j, ())
-    return records
+    reflected: list[np.ndarray] = []
+    re, im, coin, column = _path_sum(initial_coin, schedule, reflectivity, num_steps,
+                                     reflected)
+    choices = np.array(reflected, dtype=bool).reshape(num_steps, re.size).T.tolist()
+    labels = (TRANSMIT, REFLECT)
+    return [PathRecord(tuple(labels[b] for b in bits), c, 2 * j - num_steps, complex(r, i))
+            for bits, c, j, r, i in zip(choices, coin.tolist(), column.tolist(),
+                                        re.tolist(), im.tolist())]
 
 
 def oracle_state(
@@ -128,8 +125,11 @@ def oracle_state(
     """
     if num_steps is None:
         num_steps = schedule.num_steps
-    records = enumerate_paths(initial_coin, schedule, reflectivity, num_steps)
-    amps = np.zeros((2, num_steps + 1), dtype=np.complex128)
-    for record in records:
-        amps[record.final_coin, (record.final_site + num_steps) // 2] += record.amplitude
+    re, im, coin, column = _path_sum(initial_coin, schedule, reflectivity, num_steps)
+    # bincount adds the histories into their (coin, column) bins one at a
+    # time, in history order: the additions of a scalar loop, bit for bit.
+    bins = coin * (num_steps + 1) + column
+    amps = np.empty((2, num_steps + 1), dtype=np.complex128)
+    amps.real.flat = np.bincount(bins, weights=re, minlength=amps.size)
+    amps.imag.flat = np.bincount(bins, weights=im, minlength=amps.size)
     return WalkerState(amps, num_steps, num_steps)

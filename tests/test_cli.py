@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beamwalk
 from beamwalk import BINARY_0_PI, DisorderSpec, WalkerState, disordered_schedule
 from beamwalk.cli import main
 
@@ -252,6 +255,47 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "out" / "variances.csv").exists()
+
+
+# A child that caps its own address space (RLIMIT_AS, in MiB) before it
+# imports beamwalk, then runs the CLI on the remaining arguments.
+CAPPED_CHILD = """
+import resource, sys
+limit = int(sys.argv[1]) * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from beamwalk.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_with_address_limit(limit_mib, *argv):
+    src = str(Path(beamwalk.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", CAPPED_CHILD, str(limit_mib), *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_oracle_check_at_the_step_guard_fits_in_384_mib(tmp_path):
+    config = write_config(
+        tmp_path / "run.json", steps=20, outputs=["oracle_check"],
+        schedule_mode={"mode": "disordered", "kind": "uniform_0_2pi",
+                       "seed": 3, "realization_count": 1},
+    )
+    result = run_with_address_limit(384, "run", str(config))
+    assert result.returncode == 0, result.stderr
+    assert "status pass" in (tmp_path / "out" / "oracle_check.txt").read_text()
+
+
+def test_run_that_does_not_fit_in_memory_exits_one_with_one_line(tmp_path):
+    # 20000 steps need 1.6 GB of phases, more than the child may map.
+    config = write_config(tmp_path / "run.json", steps=20000)
+    result = run_with_address_limit(512, "run", str(config))
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith("beamwalk: config error: run does not fit in memory: ")
+    assert "Traceback" not in result.stderr
 
 
 def run_then_load_manifest(tmp_path, config):

@@ -8,6 +8,11 @@ digests hash ``PhaseSchedule.phases``; they were recorded from the
 (step, site)-ordered triples the old schedule listed, so they also pin
 that the packed order is that order.  The kernel digests are taken
 through ``amplitude()``, which reads the same under either state layout.
+
+The oracle digests were recorded from the recursive path sum that
+preceded the integer-indexed array path sum (commit dc273b5), so they pin
+that the rewrite sums the same products in the same order, to the last
+bit, and lists the branch histories in the same order.
 """
 
 import hashlib
@@ -20,11 +25,14 @@ from beamwalk import (
     UNIFORM_0_2PI,
     DisorderSpec,
     disordered_schedule,
+    enumerate_paths,
     evolve,
     initial_state,
+    oracle_state,
     ordered_schedule,
 )
 from beamwalk.apparatus import reachable_sites
+from beamwalk.oracle import REFLECT
 
 SEED = 20190129
 
@@ -61,6 +69,29 @@ KERNEL_SHA256 = {
 }
 
 
+# label -> (schedule factory, reflectivity, initial coin, digest of
+# oracle_state(...).amplitudes as '<c16').
+ORACLE_SHA256 = {
+    "uniform-seed1-R0.5-N16-coin0": (
+        lambda: disordered_schedule(16, DisorderSpec(UNIFORM_0_2PI, 1, 1), 0), 0.5, 0,
+        "e6d801d06d3ad1a3e2525626a37414f5e5a93b02bceeea9fdf87b85edc80f83f",
+    ),
+    "binary-seed42-R0.44-N12-coin1": (
+        lambda: disordered_schedule(12, DisorderSpec(BINARY_0_PI, 42, 1), 0), 0.44, 1,
+        "72903b7e26d62d2db29b27161630104b042cf114d64ddf831811a6edbf2e11ab",
+    ),
+    "ordered-theta0.3-R0.3-N9-coin0": (
+        lambda: ordered_schedule(9, 0.3), 0.3, 0,
+        "361464d35129837aaf2166608275f29c2c4ea99a273e29e9f135a3df75240cba",
+    ),
+}
+
+# enumerate_paths(1, uniform seed 7 N=7, R=0.3) in record order: the
+# amplitudes ('<c16'), then (final_coin, final_site) pairs ('<i8'), then
+# every record's choices as one R/T string.
+PATHS_SHA256 = "54fdebcb01f058f3da9955ade35b5f723f8dd3c7bd01843e9dae3cebf45ba0b9"
+
+
 def sha256_of(array: np.ndarray) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
 
@@ -84,3 +115,23 @@ def test_final_amplitudes_match_recorded_digest(label):
         dtype="<c16",
     )
     assert sha256_of(amps) == digest
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_SHA256))
+def test_oracle_amplitudes_match_recorded_digest(label):
+    make_schedule, reflectivity, coin, digest = ORACLE_SHA256[label]
+    summed = oracle_state(coin, make_schedule(), reflectivity)
+    assert sha256_of(summed.amplitudes.astype("<c16")) == digest
+
+
+def test_path_records_match_recorded_digest():
+    schedule = disordered_schedule(7, DisorderSpec(UNIFORM_0_2PI, 7, 1), 0)
+    records = enumerate_paths(1, schedule, 0.3)
+    assert len(records) == 2**7
+    digest = hashlib.sha256()
+    digest.update(np.array([r.amplitude for r in records], dtype="<c16").tobytes())
+    digest.update(np.array([(r.final_coin, r.final_site) for r in records],
+                           dtype="<i8").tobytes())
+    digest.update("".join("R" if choice == REFLECT else "T"
+                          for r in records for choice in r.choices).encode())
+    assert digest.hexdigest() == PATHS_SHA256

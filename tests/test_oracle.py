@@ -1,8 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import beamwalk.oracle
 from beamwalk import (
     BINARY_0_PI,
+    UNIFORM_0_2PI,
     CapacityError,
     DisorderSpec,
     ScheduleError,
@@ -14,7 +19,7 @@ from beamwalk import (
     ordered_schedule,
     position_distribution,
 )
-from beamwalk.oracle import REFLECT, TRANSMIT
+from beamwalk.oracle import REFLECT, TRANSMIT, _entry
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -146,3 +151,51 @@ def test_labels_distinguish_reflection_from_transmission():
     surviving = [r for r in records if abs(r.amplitude) > 1e-12]
     assert len(surviving) == 1
     assert surviving[0].choices == (TRANSMIT, TRANSMIT, TRANSMIT)
+
+
+def test_oracle_imports_nothing_from_the_evolution_code():
+    # The oracle cross-checks the evolution only if it shares none of its code.
+    tree = ast.parse(Path(beamwalk.oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update(f"{'.' * node.level}{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported >= {".errors", ".schedules", ".state"}
+    for name in imported:
+        assert not {"evolution", "coins"} & set(name.split(".")), name
+
+
+def scalar_path_sum(initial_coin, schedule, reflectivity):
+    """The recursion the array path sum replaced: one Python complex product
+    per splitter, the histories added up in lexicographic order."""
+    num_steps = schedule.num_steps
+    amps = np.zeros((2, num_steps + 1), dtype=np.complex128)
+
+    def descend(step_number, coin, column, amplitude):
+        if step_number > num_steps:
+            amps[coin, column] += amplitude
+            return
+        theta = schedule.row(step_number).tolist()[column]
+        for out_port in (0, 1):
+            descend(step_number + 1, 1 - out_port, column + out_port,
+                    amplitude * _entry(reflectivity, theta, out_port, coin))
+
+    descend(1, initial_coin, 0, 1.0 + 0.0j)
+    return amps
+
+
+@pytest.mark.parametrize("initial_coin", [0, 1])
+@pytest.mark.parametrize("reflectivity", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("kind", ["ordered", BINARY_0_PI, UNIFORM_0_2PI])
+def test_array_path_sum_is_bit_identical_to_the_scalar_recursion(kind, reflectivity,
+                                                                 initial_coin):
+    if kind == "ordered":
+        schedule = ordered_schedule(9, 0.3)
+    else:
+        schedule = disordered_schedule(9, DisorderSpec(kind, 5, 1), 0)
+    summed = oracle_state(initial_coin, schedule, reflectivity)
+    expected = scalar_path_sum(initial_coin, schedule, reflectivity)
+    assert summed.amplitudes.tobytes() == expected.tobytes()
