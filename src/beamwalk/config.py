@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .oracle import MAX_ENUMERATION_STEPS
 from .schedules import BINARY_0_PI, DISORDER_KINDS, DisorderSpec
 
-__all__ = ["OUTPUT_KINDS", "SimilarityVs", "RunConfig", "parse_config", "load_config", "config_echo"]
+__all__ = ["OUTPUT_KINDS", "RunConfig", "parse_config", "load_config", "config_echo"]
 
 OUTPUT_KINDS = ("distributions", "variances", "layout", "oracle_check")
 
@@ -26,26 +27,17 @@ DISORDERED = "disordered"
 
 
 @dataclass(frozen=True)
-class SimilarityVs:
-    """Output request: compare this run's distributions against the run
-    described by another config document."""
-
-    reference: str
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Validated description of one batch run."""
+    """Validated description of one batch run; ``disorder is None`` is an
+    ordered walk, and ``similarity_vs`` is the reference config's path."""
 
     steps: int
     reflectivity: float
-    schedule_kind: str = ORDERED
     theta: float = 0.0
     disorder: DisorderSpec | None = None
     initial_coin: int = 1
-    initial_site: int = 0
-    loss_eta: float = 1.0  # validated and echoed so older configs parse; affects nothing
-    outputs: tuple[str | SimilarityVs, ...] = ("distributions", "variances")
+    outputs: tuple[str, ...] = ("distributions", "variances")
+    similarity_vs: str | None = None
     output_dir: str = "out"
     normalize_to_step_max: bool = False
 
@@ -93,13 +85,13 @@ def _reject_unknown(mapping: Mapping, allowed: tuple[str, ...], source: str, fie
         raise _fail(source, field, f"unknown key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
-def _parse_schedule_mode(value, source: str) -> tuple[str, float, DisorderSpec | None]:
+def _parse_schedule_mode(value, source: str) -> tuple[float, DisorderSpec | None]:
     mode_map = _as_mapping(value, source, "schedule_mode")
     mode = mode_map.get("mode")
     if mode == ORDERED:
         _reject_unknown(mode_map, ("mode", "theta"), source, "schedule_mode")
         theta = _as_number(mode_map.get("theta", 0.0), source, "schedule_mode.theta")
-        return ORDERED, theta, None
+        return theta, None
     if mode == DISORDERED:
         _reject_unknown(
             mode_map, ("mode", "kind", "seed", "realization_count"), source, "schedule_mode"
@@ -119,29 +111,32 @@ def _parse_schedule_mode(value, source: str) -> tuple[str, float, DisorderSpec |
             spec = DisorderSpec(kind=kind, seed=seed, realization_count=count)
         except ValueError as exc:
             raise _fail(source, "schedule_mode", str(exc)) from exc
-        return DISORDERED, 0.0, spec
+        return 0.0, spec
     raise _fail(
         source, "schedule_mode.mode", f"must be '{ORDERED}' or '{DISORDERED}', got {mode!r}"
     )
 
 
-def _parse_outputs(value, source: str) -> tuple[str | SimilarityVs, ...]:
+def _parse_outputs(value, source: str) -> tuple[tuple[str, ...], str | None]:
+    """The output names, and the similarity_vs reference path if one is asked for."""
     if not isinstance(value, list):
         raise _fail(source, "outputs", f"expected a list, got {value!r}")
-    parsed: list[str | SimilarityVs] = []
+    names: list[str] = []
+    reference = None
     for position, item in enumerate(value):
         field = f"outputs[{position}]"
         if isinstance(item, str):
             if item not in OUTPUT_KINDS:
                 raise _fail(source, field, f"must be one of {list(OUTPUT_KINDS)}, got {item!r}")
-            parsed.append(item)
+            names.append(item)
         elif isinstance(item, Mapping):
+            if reference is not None:
+                raise _fail(source, field, "at most one similarity_vs comparison per run")
             _reject_unknown(item, ("similarity_vs",), source, field)
             reference = as_path(item.get("similarity_vs"), source, f"{field}.similarity_vs")
-            parsed.append(SimilarityVs(reference))
         else:
             raise _fail(source, field, f"expected an output name or object, got {item!r}")
-    return tuple(parsed)
+    return tuple(names), reference
 
 
 _TOP_LEVEL_KEYS = (
@@ -164,6 +159,8 @@ def parse_config(document: str | Mapping, source: str = "<config>") -> RunConfig
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                               f"{exc.msg}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"{source}: invalid JSON: nested too deeply") from exc
     else:
         raw = document
     raw = _as_mapping(raw, source, "document")
@@ -181,21 +178,24 @@ def parse_config(document: str | Mapping, source: str = "<config>") -> RunConfig
     if not 0.0 <= reflectivity <= 1.0:
         raise _fail(source, "reflectivity", f"must be in [0, 1], got {reflectivity}")
 
-    schedule_kind, theta, disorder = (
+    theta, disorder = (
         _parse_schedule_mode(raw["schedule_mode"], source)
         if "schedule_mode" in raw
-        else (ORDERED, 0.0, None)
+        else (0.0, None)
     )
 
-    initial_coin, initial_site = 1, 0
+    # initial.site and loss_eta are checked so that older configs keep
+    # their exit codes, but neither changes a run: the phase schedules are
+    # anchored to site 0, and a uniform loss cancels when each step's
+    # powers are normalized.
+    initial_coin = 1
     if "initial" in raw:
         initial = _as_mapping(raw["initial"], source, "initial")
         _reject_unknown(initial, ("coin", "site"), source, "initial")
         initial_coin = _as_int(initial.get("coin", 1), source, "initial.coin")
         if initial_coin not in (0, 1):
             raise _fail(source, "initial.coin", f"must be 0 or 1, got {initial_coin}")
-        initial_site = _as_int(initial.get("site", 0), source, "initial.site")
-        if initial_site != 0:
+        if _as_int(initial.get("site", 0), source, "initial.site") != 0:
             raise _fail(
                 source,
                 "initial.site",
@@ -206,11 +206,14 @@ def parse_config(document: str | Mapping, source: str = "<config>") -> RunConfig
     if not 0.0 < loss_eta <= 1.0:
         raise _fail(source, "loss_eta", f"must be in (0, 1], got {loss_eta}")
 
-    outputs = (
+    outputs, similarity_vs = (
         _parse_outputs(raw["outputs"], source)
         if "outputs" in raw
-        else ("distributions", "variances")
+        else (("distributions", "variances"), None)
     )
+    if "oracle_check" in outputs and steps > MAX_ENUMERATION_STEPS:
+        raise _fail(source, "outputs", f"oracle_check enumerates 2^steps paths and is limited "
+                                       f"to steps <= {MAX_ENUMERATION_STEPS}, got {steps}")
 
     output_dir = as_path(raw.get("output_dir", "out"), source, "output_dir")
 
@@ -221,13 +224,11 @@ def parse_config(document: str | Mapping, source: str = "<config>") -> RunConfig
     return RunConfig(
         steps=steps,
         reflectivity=reflectivity,
-        schedule_kind=schedule_kind,
         theta=theta,
         disorder=disorder,
         initial_coin=initial_coin,
-        initial_site=initial_site,
-        loss_eta=loss_eta,
         outputs=outputs,
+        similarity_vs=similarity_vs,
         output_dir=output_dir,
         normalize_to_step_max=normalize,
     )
@@ -251,26 +252,23 @@ def config_echo(config: RunConfig) -> dict:
     Parsing the echo reproduces an equal ``RunConfig``, which is what
     makes manifests replayable.
     """
-    if config.schedule_kind == ORDERED:
+    if config.disorder is None:
         schedule_mode: dict = {"mode": ORDERED, "theta": config.theta}
     else:
-        assert config.disorder is not None
         schedule_mode = {
             "mode": DISORDERED,
             "kind": config.disorder.kind,
             "seed": config.disorder.seed,
             "realization_count": config.disorder.realization_count,
         }
-    outputs: list = [
-        item if isinstance(item, str) else {"similarity_vs": item.reference}
-        for item in config.outputs
-    ]
+    outputs: list = list(config.outputs)
+    if config.similarity_vs is not None:
+        outputs.append({"similarity_vs": config.similarity_vs})
     return {
         "steps": config.steps,
         "reflectivity": config.reflectivity,
         "schedule_mode": schedule_mode,
-        "initial": {"coin": config.initial_coin, "site": config.initial_site},
-        "loss_eta": config.loss_eta,
+        "initial": {"coin": config.initial_coin},
         "outputs": outputs,
         "output_dir": config.output_dir,
         "normalize_to_step_max": config.normalize_to_step_max,

@@ -80,14 +80,6 @@ class DistributionSeries:
     def steps(self) -> tuple[int, ...]:
         return tuple(row.step for row in self.rows)
 
-    def subseries(self, steps: Iterable[int]) -> "DistributionSeries":
-        """The rows belonging to ``steps`` (which must all be present)."""
-        wanted = set(steps)
-        missing = wanted - set(self.steps)
-        if missing:
-            raise ValueError(f"series has no steps {sorted(missing)}")
-        return DistributionSeries(tuple(r for r in self.rows if r.step in wanted))
-
 
 def position_distribution(state: WalkerState) -> Distribution:
     """Trace out the coin: P[i] = |p0[i]|^2 + |p1[i]|^2, over the row sum."""

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import __version__
 from .apparatus import layout_table
-from .config import (DISORDERED, RunConfig, SimilarityVs, config_echo, is_finite_number,
-                     load_config, parse_config)
+from .config import RunConfig, config_echo, is_finite_number, load_config, parse_config
 from .errors import ConfigError, NumericalInvariantError
 from .evolution import evolve
 from .measure import (
@@ -27,7 +26,7 @@ from .measure import (
     similarity,
     variance,
 )
-from .oracle import MAX_ENUMERATION_STEPS, oracle_state
+from .oracle import oracle_state
 from .schedules import PhaseSchedule, ensemble_schedules, ordered_schedule
 from .state import WalkerState, initial_state
 
@@ -47,10 +46,9 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def _schedules_for(config: RunConfig) -> list[PhaseSchedule]:
-    if config.schedule_kind == DISORDERED:
-        assert config.disorder is not None
-        return ensemble_schedules(config.steps, config.disorder)
-    return [ordered_schedule(config.steps, config.theta)]
+    if config.disorder is None:
+        return [ordered_schedule(config.steps, config.theta)]
+    return ensemble_schedules(config.steps, config.disorder)
 
 
 def _simulate(
@@ -134,6 +132,11 @@ def _write_similarity(path: Path, mean: DistributionSeries,
     _write_lines(path, lines)
 
 
+def _walk_steps(series: DistributionSeries) -> DistributionSeries:
+    """``series`` without its step-0 row."""
+    return DistributionSeries(series.rows[1:])
+
+
 def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
     """Decode one serialized schedule: the packed phases of a
     ``num_steps``-step walk, as ``PhaseSchedule.phases`` orders them."""
@@ -150,23 +153,11 @@ def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
 
 
 def _schedules_from_json(raw, config: RunConfig, source: str) -> list[PhaseSchedule]:
-    expected = (config.disorder.realization_count
-                if config.schedule_kind == DISORDERED else 1)
+    expected = 1 if config.disorder is None else config.disorder.realization_count
     if not isinstance(raw, list) or len(raw) != expected:
         found = len(raw) if isinstance(raw, list) else repr(raw)
         raise ConfigError(f"{source}: expected {expected} serialized schedule(s), found {found}")
     return [_schedule_from_json(obj, config.steps, source) for obj in raw]
-
-
-def _validate_outputs(config: RunConfig) -> None:
-    references = [item for item in config.outputs if isinstance(item, SimilarityVs)]
-    if len(references) > 1:
-        raise ConfigError("outputs: at most one similarity_vs comparison per run")
-    if "oracle_check" in config.outputs and config.steps > MAX_ENUMERATION_STEPS:
-        raise ConfigError(
-            f"outputs: oracle_check enumerates 2^steps paths and is limited to "
-            f"steps <= {MAX_ENUMERATION_STEPS}, got {config.steps}"
-        )
 
 
 def _check_reference_steps(config: RunConfig, ref_config: RunConfig, source: str) -> None:
@@ -177,46 +168,36 @@ def _check_reference_steps(config: RunConfig, ref_config: RunConfig, source: str
         )
 
 
-def _reference_request(config: RunConfig) -> SimilarityVs | None:
-    for item in config.outputs:
-        if isinstance(item, SimilarityVs):
-            return item
-    return None
-
-
 def _execute(
     config: RunConfig,
     schedules: list[PhaseSchedule],
     reference: tuple[RunConfig, list[PhaseSchedule]] | None,
     out_dir: Path,
 ) -> Path:
+    """Write the requested data files, then the manifest.  The oracle check
+    runs last, so a failing check (exit 2) leaves every other file written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     series_all, finals = _simulate(config, schedules)
     mean = ensemble_mean_series(series_all)
-    walk_steps = range(1, config.steps + 1)
 
     for item in config.outputs:
         if item == "distributions":
             _write_distributions(out_dir / "distributions.csv", mean,
                                  config.normalize_to_step_max)
         elif item == "variances":
-            _write_variances(out_dir / "variances.csv", mean.subseries(walk_steps))
-            if config.schedule_kind == DISORDERED:
+            _write_variances(out_dir / "variances.csv", _walk_steps(mean))
+            if config.disorder is not None:
                 for j, series in enumerate(series_all):
-                    _write_variances(out_dir / f"variances_r{j}.csv",
-                                     series.subseries(walk_steps))
+                    _write_variances(out_dir / f"variances_r{j}.csv", _walk_steps(series))
         elif item == "layout":
             _write_layout(out_dir / "layout.csv", config.steps)
-        elif item == "oracle_check":
-            _oracle_check(config, schedules, finals, out_dir / "oracle_check.txt")
-        elif isinstance(item, SimilarityVs):
-            assert reference is not None
-            ref_config, ref_schedules = reference
-            ref_series, _ = _simulate(ref_config, ref_schedules)
-            ref_mean = ensemble_mean_series(ref_series)
-            _write_similarity(out_dir / "similarity.txt",
-                              mean.subseries(walk_steps),
-                              ref_mean.subseries(walk_steps))
+    if reference is not None:
+        ref_config, ref_schedules = reference
+        ref_series, _ = _simulate(ref_config, ref_schedules)
+        _write_similarity(out_dir / "similarity.txt", _walk_steps(mean),
+                          _walk_steps(ensemble_mean_series(ref_series)))
+    if "oracle_check" in config.outputs:
+        _oracle_check(config, schedules, finals, out_dir / "oracle_check.txt")
 
     manifest = {
         "artifact": {"name": "beamwalk", "version": __version__},
@@ -247,14 +228,12 @@ def run(
     ``base_dir`` anchors relative similarity_vs references (defaults to
     the working directory); ``output_dir`` overrides the config's.
     """
-    _validate_outputs(config)
     base = Path(base_dir) if base_dir is not None else Path.cwd()
     schedules = _schedules_for(config)
 
     reference = None
-    request = _reference_request(config)
-    if request is not None:
-        ref_path = Path(request.reference)
+    if config.similarity_vs is not None:
+        ref_path = Path(config.similarity_vs)
         if not ref_path.is_absolute():
             ref_path = base / ref_path
         ref_config = load_config(ref_path)
@@ -278,16 +257,17 @@ def replay(manifest_path: str | Path, output_dir: str | Path | None = None) -> P
         raise ConfigError(f"{manifest_path}: manifest is not UTF-8: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{manifest_path}: invalid manifest JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{manifest_path}: invalid manifest JSON: nested too deeply") from exc
     if not isinstance(document, dict) or "config" not in document:
         raise ConfigError(f"{manifest_path}: not a run manifest")
 
     config = parse_config(document["config"], source=f"{manifest_path}:config")
-    _validate_outputs(config)
     schedules = _schedules_from_json(document.get("schedules", []), config,
                                      str(manifest_path))
 
     reference = None
-    if _reference_request(config) is not None:
+    if config.similarity_vs is not None:
         bundle = document.get("reference")
         if not isinstance(bundle, dict):
             raise ConfigError(f"{manifest_path}: manifest lacks the reference run data")

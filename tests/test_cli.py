@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -198,7 +199,7 @@ def test_uniform_loss_cancels_after_renormalization(tmp_path, loss_eta, steps):
     for name in ["distributions.csv", "variances.csv"]:
         assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
     manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
-    assert manifest["config"]["loss_eta"] == loss_eta
+    assert "loss_eta" not in manifest["config"]
 
 
 def test_bad_config_exits_one_and_names_the_field(tmp_path, capsys):
@@ -230,10 +231,50 @@ def test_numerical_violation_exits_two(tmp_path, monkeypatch, capsys):
         return WalkerState(amplitudes, state.step_index, state.num_steps)
 
     monkeypatch.setattr(runner, "oracle_state", skewed)
-    config = write_config(tmp_path / "run.json", outputs=["oracle_check"])
+    config = write_config(tmp_path / "run.json",
+                          outputs=["oracle_check", "distributions", "layout"])
     assert main(["run", str(config)]) == 2
     assert "deviates" in capsys.readouterr().err
     assert "status fail" in (tmp_path / "out" / "oracle_check.txt").read_text()
+    # the check runs last, so the files listed after it are written too
+    assert (tmp_path / "out" / "distributions.csv").exists()
+    assert (tmp_path / "out" / "layout.csv").exists()
+
+
+# A manifest exactly as beamwalk 0.2.0 wrote it, with the two settings that
+# change no output (initial.site and loss_eta) and a reference run bundle.
+MANIFEST_0_2_0 = (
+    '{"artifact":{"name":"beamwalk","version":"0.2.0"},'
+    '"created_utc":"2026-10-18T13:01:10.100938+00:00",'
+    '"config":{"steps":3,"reflectivity":0.44,"schedule_mode":{"mode":"disordered",'
+    '"kind":"binary_0_pi","seed":7,"realization_count":2},"initial":{"coin":0,"site":0},'
+    '"loss_eta":0.8,"outputs":["distributions","variances",{"similarity_vs":"ref.json"}],'
+    '"output_dir":"out","normalize_to_step_max":false},'
+    '"schedules":[[3.141592653589793,3.141592653589793,3.141592653589793,'
+    '3.141592653589793,3.141592653589793,3.141592653589793],'
+    '[3.141592653589793,3.141592653589793,3.141592653589793,0.0,0.0,0.0]],'
+    '"reference":{"config":{"steps":3,"reflectivity":0.44,'
+    '"schedule_mode":{"mode":"ordered","theta":0.3},"initial":{"coin":1,"site":0},'
+    '"loss_eta":1.0,"outputs":["distributions","variances"],"output_dir":"out",'
+    '"normalize_to_step_max":false},"schedules":[[0.3,0.3,0.3,0.3,0.3,0.3]]}}\n'
+)
+
+# sha256 of the files beamwalk 0.2.0 wrote for MANIFEST_0_2_0.
+MANIFEST_0_2_0_SHA256 = {
+    "distributions.csv": "603f44a6d2171fb3eb60b23e535274a64465488081d1f639be69fd6cb5b0f5b3",
+    "variances.csv": "92301cbbae0b36fd147dcb33f2267227fdeba6482d38041cb3c8766fadd1291a",
+    "similarity.txt": "c0897d05290bf4ae4011028af674f0d305d3de4e1b4b05309f1fbbc18345ce1c",
+}
+
+
+def test_a_0_2_0_manifest_replays_to_the_same_bytes(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(MANIFEST_0_2_0, encoding="utf-8")
+    replayed = tmp_path / "replayed"
+    assert main(["replay", str(manifest), "--output-dir", str(replayed)]) == 0
+    digests = {name: hashlib.sha256((replayed / name).read_bytes()).hexdigest()
+               for name in MANIFEST_0_2_0_SHA256}
+    assert digests == MANIFEST_0_2_0_SHA256
 
 
 def test_io_failure_exits_three(tmp_path, capsys):
@@ -425,6 +466,7 @@ STEP_1 = {"steps": 1, "reflectivity": 0.5}
 COMPARED = dict(STEP_1, outputs=[{"similarity_vs": "ref.json"}])
 SCHEDULES_1 = [[0.0]]
 NOT_UTF8 = b'{"steps": 1, "reflectivity": 0.5, "output_dir": "\xff"}'
+NESTED_TOO_DEEPLY = b"[" * 100000
 
 # command, then the files to write; the first file is the one passed to main.
 MALFORMED_INPUTS = {
@@ -434,7 +476,12 @@ MALFORMED_INPUTS = {
     "nul-in-similarity_vs": (
         "run", {"run.json": dict(STEP_1, outputs=[{"similarity_vs": "ref\0.json"}])}
     ),
+    "config-nested-too-deeply": ("run", {"run.json": NESTED_TOO_DEEPLY}),
+    "reference-nested-too-deeply": (
+        "run", {"run.json": COMPARED, "ref.json": NESTED_TOO_DEEPLY}
+    ),
     "manifest-not-utf8": ("replay", {"manifest.json": NOT_UTF8}),
+    "manifest-nested-too-deeply": ("replay", {"manifest.json": NESTED_TOO_DEEPLY}),
     "manifest-nul-in-output_dir": (
         "replay",
         {"manifest.json": {"config": dict(STEP_1, output_dir="out\0x"),

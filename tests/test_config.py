@@ -3,19 +3,18 @@ import json
 import pytest
 
 from beamwalk import ConfigError
-from beamwalk.config import RunConfig, SimilarityVs, config_echo, load_config, parse_config
+from beamwalk.config import RunConfig, config_echo, load_config, parse_config
 
 
 def test_minimal_config_gets_the_defaults():
     config = parse_config('{"steps": 7, "reflectivity": 0.5}')
     assert config.steps == 7
     assert config.reflectivity == 0.5
-    assert config.schedule_kind == "ordered"
+    assert config.disorder is None
     assert config.theta == 0.0
     assert config.initial_coin == 1
-    assert config.initial_site == 0
-    assert config.loss_eta == 1.0
     assert config.outputs == ("distributions", "variances")
+    assert config.similarity_vs is None
     assert config.normalize_to_step_max is False
 
 
@@ -34,7 +33,6 @@ def test_disordered_config_parses_the_disorder_settings():
             }
         )
     )
-    assert config.schedule_kind == "disordered"
     assert config.disorder is not None
     assert config.disorder.seed == 42
     assert config.disorder.realization_count == 100
@@ -57,7 +55,32 @@ def test_outputs_accept_names_and_similarity_objects():
             }
         )
     )
-    assert config.outputs == ("variances", SimilarityVs("ref.json"), "layout")
+    assert config.outputs == ("variances", "layout")
+    assert config.similarity_vs == "ref.json"
+
+
+def test_a_second_similarity_object_names_its_position():
+    document = {"steps": 3, "reflectivity": 0.5,
+                "outputs": [{"similarity_vs": "a.json"}, {"similarity_vs": "b.json"}]}
+    with pytest.raises(ConfigError, match=r"outputs\[1\]: at most one similarity_vs"):
+        parse_config(json.dumps(document))
+
+
+def test_oracle_check_above_the_enumeration_guard_fails_to_parse():
+    document = {"steps": 21, "reflectivity": 0.5, "outputs": ["oracle_check"]}
+    with pytest.raises(ConfigError, match=r"outputs: oracle_check .* steps <= 20, got 21"):
+        parse_config(json.dumps(document))
+    assert parse_config(json.dumps(dict(document, steps=20))).steps == 20
+
+
+def test_settings_that_change_no_output_are_checked_but_not_kept():
+    plain = parse_config('{"steps": 3, "reflectivity": 0.5}')
+    older = parse_config('{"steps": 3, "reflectivity": 0.5,'
+                         ' "initial": {"coin": 1, "site": 0}, "loss_eta": 0.8}')
+    assert older == plain
+    echo = config_echo(older)
+    assert "loss_eta" not in echo
+    assert echo["initial"] == {"coin": 1}
 
 
 def test_out_of_range_reflectivity_names_the_field():

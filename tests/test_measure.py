@@ -164,14 +164,6 @@ def test_series_from_trajectory_validates_requested_steps(ordered_walk):
         series_from_trajectory(ordered_walk, steps=[9])
 
 
-def test_subseries_selects_and_validates(ordered_walk):
-    measured = series_from_trajectory(ordered_walk)
-    sliced = measured.subseries(range(1, 4))
-    assert sliced.steps == (1, 2, 3)
-    with pytest.raises(ValueError, match="no steps"):
-        measured.subseries([12])
-
-
 def test_distribution_validation():
     with pytest.raises(ValueError, match="entries"):
         dist(2, [0.5, 0.5])
