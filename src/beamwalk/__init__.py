@@ -9,7 +9,6 @@ cross-check, and the geometry of the folded two-interferometer setup.
 __version__ = "0.2.0"
 
 from .apparatus import ModeLocus, displacer_passages, mode_locus, reachable_sites
-from .coins import CoinParams, build_coin, is_unitary
 from .errors import CapacityError, ConfigError, NumericalInvariantError, ScheduleError
 from .evolution import apply_coin_layer, apply_shift, coin_field, evolve, step
 from .measure import (
@@ -40,7 +39,6 @@ __all__ = [
     "BINARY_0_PI",
     "UNIFORM_0_2PI",
     "CapacityError",
-    "CoinParams",
     "ConfigError",
     "DisorderSpec",
     "Distribution",
@@ -54,7 +52,6 @@ __all__ = [
     "apply_coin_layer",
     "apply_shift",
     "bhattacharyya_partials",
-    "build_coin",
     "coin_field",
     "delta_state",
     "disordered_schedule",
@@ -64,7 +61,6 @@ __all__ = [
     "enumerate_paths",
     "evolve",
     "initial_state",
-    "is_unitary",
     "mode_locus",
     "oracle_state",
     "ordered_schedule",

@@ -9,6 +9,7 @@ field by name.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -66,10 +67,15 @@ def _as_number(value, source: str, field: str) -> float:
 
 
 def as_path(value, source: str, field: str) -> str:
-    """``value`` if it is a nonempty path string; a NUL, which no file
-    system call accepts, is a ``ConfigError`` rather than a ``ValueError``."""
+    """``value`` if it is a nonempty path string; a NUL, or a lone surrogate
+    that ``os.fsencode`` cannot encode, is a ``ConfigError`` rather than the
+    ``ValueError`` or ``UnicodeEncodeError`` of a file system call."""
     if not isinstance(value, str) or not value or "\0" in value:
         raise _fail(source, field, f"expected a nonempty path with no NUL character, got {value!r}")
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError as exc:
+        raise _fail(source, field, f"cannot encode {value!r} as a file name: {exc.reason}") from exc
     return value
 
 
@@ -171,6 +177,8 @@ def parse_config(document: str | Mapping, source: str = "<config>") -> RunConfig
     steps = _as_int(raw["steps"], source, "steps")
     if steps < 1:
         raise _fail(source, "steps", f"must be >= 1, got {steps}")
+    if steps * (steps + 1) // 2 * 8 > sys.maxsize:  # numpy's limit on one phase array
+        raise _fail(source, "steps", f"{steps} steps need more phases than one array can hold")
 
     if "reflectivity" not in raw:
         raise _fail(source, "reflectivity", "required")

@@ -5,6 +5,19 @@ mixes the two coin modes) followed by the conditional shift (coin 0
 moves one site down, coin 1 one site up).  The shift also inverts the
 coin label, because each splitter output port feeds the opposite input
 port of the next splitter.
+
+The coin a lossless splitter of intensity reflectivity R applies, with
+phase plates theta0 and theta1 in its output ports 0 and 1, is this 2x2
+unitary; rows index the output port, columns the input port:
+
+    alpha = sqrt(R)   * exp(i (theta0 + pi/2))     (0 -> 0, reflected)
+    beta  = sqrt(1-R) * exp(i theta0)              (1 -> 0, transmitted)
+    gamma = sqrt(1-R) * exp(i theta1)              (0 -> 1, transmitted)
+    delta = sqrt(R)   * exp(i (theta1 + pi/2))     (1 -> 1, reflected)
+
+The pi/2 offsets on the reflected amplitudes keep the matrix unitary for
+every R and every phase setting; only the difference theta0 - theta1 is
+observable in any measured distribution.
 """
 
 from __future__ import annotations
@@ -14,7 +27,6 @@ import math
 
 import numpy as np
 
-from .coins import CoinParams
 from .errors import CapacityError, ScheduleError
 from .schedules import PhaseSchedule
 from .state import WalkerState
@@ -71,11 +83,15 @@ def coin_field(
     """Coin matrices for step ``step_number`` (1-based): a ``(k, 2, 2)``
     stack, one matrix per site of the step, sites ascending.
 
-    Matrix j is ``build_coin(CoinParams(reflectivity, theta_j + phase_gauge,
-    phase_gauge))`` bit for bit: the schedule phase sets the port-0 plate,
-    and the gauge shifts both plates, which no distribution can observe.
+    Matrix j is the splitter with theta0 = theta_j + phase_gauge and
+    theta1 = phase_gauge: the schedule phase sets the port-0 plate, and the
+    gauge shifts both plates, which no distribution can observe.  An R
+    outside [0, 1] (NaN included) or a non-finite gauge is a ``ValueError``.
     """
-    CoinParams(reflectivity, phase_gauge, phase_gauge)  # validates R and the gauge
+    if not 0.0 <= reflectivity <= 1.0:
+        raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
+    if not math.isfinite(phase_gauge):
+        raise ValueError("phase settings must be finite")
     r, t = math.sqrt(reflectivity), math.sqrt(1.0 - reflectivity)
     half_pi = math.pi / 2
     theta0 = schedule.row(step_number) + phase_gauge

@@ -1,6 +1,6 @@
 import numpy as np
 
-from beamwalk import WalkerState
+from beamwalk import WalkerState, coin_field, ordered_schedule
 
 
 def random_walker_state(num_steps: int, step_index: int, rng: np.random.Generator) -> WalkerState:
@@ -9,12 +9,17 @@ def random_walker_state(num_steps: int, step_index: int, rng: np.random.Generato
     return WalkerState(values / np.linalg.norm(values), step_index, num_steps)
 
 
+def single_coin(reflectivity: float, theta0: float = 0.0, theta1: float = 0.0) -> np.ndarray:
+    """The 2x2 splitter with plates theta0 and theta1 in output ports 0 and 1:
+    a one-step schedule phase theta0 - theta1 under the gauge theta1."""
+    return coin_field(ordered_schedule(1, theta0 - theta1), reflectivity, 1,
+                      phase_gauge=theta1)[0]
+
+
 def random_coin_field(sites, reflectivity: float, rng: np.random.Generator) -> np.ndarray:
     """A (len(sites), 2, 2) stack of random-phase coins at the given reflectivity."""
-    from beamwalk import CoinParams, build_coin
-
     coins = []
     for _ in sites:
         theta0, theta1 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        coins.append(build_coin(CoinParams(reflectivity, theta0, theta1)))
+        coins.append(single_coin(reflectivity, theta0, theta1))
     return np.stack(coins)

@@ -476,6 +476,11 @@ MALFORMED_INPUTS = {
     "nul-in-similarity_vs": (
         "run", {"run.json": dict(STEP_1, outputs=[{"similarity_vs": "ref\0.json"}])}
     ),
+    "surrogate-in-output_dir": ("run", {"run.json": dict(STEP_1, output_dir="out\ud800")}),
+    "surrogate-in-similarity_vs": (
+        "run", {"run.json": dict(STEP_1, outputs=[{"similarity_vs": "r\ud800.json"}])}
+    ),
+    "steps-beyond-array-limit": ("run", {"run.json": dict(STEP_1, steps=10**10)}),
     "config-nested-too-deeply": ("run", {"run.json": NESTED_TOO_DEEPLY}),
     "reference-nested-too-deeply": (
         "run", {"run.json": COMPARED, "ref.json": NESTED_TOO_DEEPLY}
@@ -485,6 +490,11 @@ MALFORMED_INPUTS = {
     "manifest-nul-in-output_dir": (
         "replay",
         {"manifest.json": {"config": dict(STEP_1, output_dir="out\0x"),
+                           "schedules": SCHEDULES_1}},
+    ),
+    "manifest-surrogate-in-output_dir": (
+        "replay",
+        {"manifest.json": {"config": dict(STEP_1, output_dir="out\ud800"),
                            "schedules": SCHEDULES_1}},
     ),
     "manifest-not-json": ("replay", {"manifest.json": b"{not json"}),

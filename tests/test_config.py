@@ -1,5 +1,8 @@
 import json
+import math
+import sys
 
+import numpy as np
 import pytest
 
 from beamwalk import ConfigError
@@ -145,6 +148,24 @@ def test_invalid_json_reports_the_position():
 def test_field_errors_name_the_field(document, field):
     with pytest.raises(ConfigError, match=field):
         parse_config(document)
+
+
+def test_steps_stop_at_the_largest_phase_array_numpy_can_make():
+    largest = math.isqrt(sys.maxsize // 4)
+    while 4 * largest * (largest + 1) > sys.maxsize:
+        largest -= 1
+    assert parse_config({"steps": largest, "reflectivity": 0.5}).steps == largest
+    with pytest.raises(ConfigError, match="steps"):
+        parse_config({"steps": largest + 1, "reflectivity": 0.5})
+    # numpy refuses that schedule's packed phases before allocating anything
+    with pytest.raises(ValueError):
+        np.empty((largest + 1) * (largest + 2) // 2)
+
+
+def test_surrogate_escaped_bytes_are_a_valid_path():
+    # an undecodable byte of a file name arrives as \udc80-\udcff and encodes back
+    config = parse_config({"steps": 1, "reflectivity": 0.5, "output_dir": "out\udc80"})
+    assert config.output_dir == "out\udc80"
 
 
 def test_load_config_reads_files(tmp_path):

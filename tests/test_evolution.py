@@ -1,16 +1,17 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
 from beamwalk import (
     UNIFORM_0_2PI,
     CapacityError,
-    CoinParams,
     DisorderSpec,
     ScheduleError,
     WalkerState,
     apply_coin_layer,
     apply_shift,
-    build_coin,
     coin_field,
     delta_state,
     disordered_schedule,
@@ -21,9 +22,9 @@ from beamwalk import (
     step,
 )
 from beamwalk.apparatus import reachable_sites
-from conftest import random_coin_field, random_walker_state
+from conftest import random_coin_field, random_walker_state, single_coin
 
-BALANCED = build_coin(CoinParams(0.5))
+BALANCED = single_coin(0.5)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -64,7 +65,7 @@ def test_shift_at_full_lattice_is_a_capacity_error():
 
 
 def test_identity_like_coin_leaves_state_unchanged():
-    identity = build_coin(CoinParams(1.0, -np.pi / 2, -np.pi / 2))
+    identity = single_coin(1.0, -np.pi / 2, -np.pi / 2)
     rng = np.random.default_rng(3)
     state = random_walker_state(4, 2, rng)
     after = apply_coin_layer(state, everywhere(identity, 2))
@@ -132,7 +133,7 @@ def test_two_steps_interfere_to_half_at_origin():
 
 
 def test_full_mirror_ping_pongs_with_phase_i():
-    after = step(delta_state(1, coin=0), build_coin(CoinParams(1.0))[None])
+    after = step(delta_state(1, coin=0), single_coin(1.0)[None])
     assert after.amplitude(1, -1) == pytest.approx(1j)
     np.testing.assert_allclose(position_distribution(after).probs, [1.0, 0.0], atol=1e-12)
 
@@ -208,7 +209,20 @@ def test_opposite_initial_coins_walk_mirrored_paths():
         np.testing.assert_allclose(p_a, p_b[::-1], atol=1e-12)
 
 
-def test_coin_field_stacks_build_coin_bit_for_bit():
+def splitter(reflectivity, theta0, theta1):
+    """The splitter matrix entry by entry, in scalar cmath arithmetic."""
+    r, t = math.sqrt(reflectivity), math.sqrt(1.0 - reflectivity)
+    half_pi = math.pi / 2
+    return np.array(
+        [
+            [r * cmath.exp(1j * (theta0 + half_pi)), t * cmath.exp(1j * theta0)],
+            [t * cmath.exp(1j * theta1), r * cmath.exp(1j * (theta1 + half_pi))],
+        ],
+        dtype=np.complex128,
+    )
+
+
+def test_coin_field_stacks_the_scalar_splitter_bit_for_bit():
     schedule = disordered_schedule(6, DisorderSpec(UNIFORM_0_2PI, 8, 1), 0)
     for reflectivity in (0.0, 0.3, 0.44, 0.5, 1.0):
         for gauge in (0.0, 0.7, -2.5):
@@ -218,7 +232,7 @@ def test_coin_field_stacks_build_coin_bit_for_bit():
                 thetas = schedule.row(step_number).tolist()
                 assert len(thetas) == len(reachable_sites(step_number - 1))
                 for j, theta in enumerate(thetas):
-                    expected = build_coin(CoinParams(reflectivity, theta + gauge, gauge))
+                    expected = splitter(reflectivity, theta + gauge, gauge)
                     assert field[j].tobytes() == expected.tobytes()
 
 
