@@ -82,7 +82,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"beamwalk: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(manifest)
+    try:
+        print(manifest)
+    except UnicodeEncodeError:  # a path byte the stream cannot encode: escape it
+        encoding = sys.stdout.encoding
+        print(str(manifest).encode(encoding, "backslashreplace").decode(encoding))
     return EXIT_OK
 
 

@@ -165,6 +165,8 @@ def parse_config(document: str | Mapping, source: str = "<config>") -> RunConfig
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                               f"{exc.msg}") from exc
+        except ValueError as exc:  # an integer longer than int_max_str_digits
+            raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ConfigError(f"{source}: invalid JSON: nested too deeply") from exc
     else:

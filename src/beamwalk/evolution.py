@@ -107,27 +107,22 @@ def evolve(
     initial: WalkerState,
     schedule: PhaseSchedule,
     reflectivity: float,
-    steps: int | None = None,
     phase_gauge: float = 0.0,
 ) -> list[WalkerState]:
-    """Run ``steps`` walk steps; returns the trajectory including ``initial``.
+    """Run ``initial`` to the end of ``schedule``; returns the trajectory
+    including ``initial``, so a state already at the end gives ``[initial]``.
 
     The trajectory ends on the final shift: no trailing coin layer is
     applied, matching a network read out right after the last splitter
-    row.
+    row.  Phases are packed step by step, so the first k steps of a walk
+    are the walk of ``PhaseSchedule(k, schedule.phases[:k * (k + 1) // 2])``.
     """
-    if steps is None:
-        steps = schedule.num_steps
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    last_needed = initial.step_index + steps
-    if steps > 0 and schedule.num_steps < last_needed:
-        raise ScheduleError(f"schedule covers {schedule.num_steps} steps, but the walk "
-                            f"needs {last_needed}")
+    if initial.step_index > schedule.num_steps:
+        raise ScheduleError(f"schedule covers {schedule.num_steps} steps, but the state "
+                            f"is at step {initial.step_index}")
     trajectory = [initial]
     state = initial
-    for _ in range(steps):
-        state = step(state, coin_field(schedule, reflectivity, state.step_index + 1,
-                                       phase_gauge))
+    for k in range(initial.step_index + 1, schedule.num_steps + 1):
+        state = step(state, coin_field(schedule, reflectivity, k, phase_gauge))
         trajectory.append(state)
     return trajectory

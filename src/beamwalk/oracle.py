@@ -53,7 +53,7 @@ def _entry(reflectivity: float, theta: float, out_port: int, in_port: int) -> co
     return magnitude * cmath.exp(1j * phase)
 
 
-def _path_sum(initial_coin: int, schedule: PhaseSchedule, reflectivity: float, num_steps: int,
+def _path_sum(initial_coin: int, schedule: PhaseSchedule, reflectivity: float,
               reflected: list[np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
     """Every history's amplitude (re, im), final coin and final column.
     History p leaves splitter k by out-port (p >> (num_steps - k)) & 1, most
@@ -63,15 +63,13 @@ def _path_sum(initial_coin: int, schedule: PhaseSchedule, reflectivity: float, n
         raise ValueError(f"initial_coin must be 0 or 1, got {initial_coin}")
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
-    if num_steps < 0:
-        raise ValueError(f"num_steps must be >= 0, got {num_steps}")
+    num_steps = schedule.num_steps
     if num_steps > MAX_ENUMERATION_STEPS:
         raise CapacityError(
             f"enumeration of 2^{num_steps} paths exceeds the "
             f"{MAX_ENUMERATION_STEPS}-step guard"
         )
-    # Splitter entries table[k-1][column, out, in], one phase lookup per mesh
-    # point; a schedule too short for the walk fails here, before any path.
+    # Splitter entries table[k-1][column, out, in], one phase lookup per mesh point.
     table = [np.array([[[_entry(reflectivity, theta, out, inp) for inp in (0, 1)]
                         for out in (0, 1)] for theta in schedule.row(k).tolist()])
              for k in range(1, num_steps + 1)]
@@ -96,15 +94,12 @@ def enumerate_paths(
     initial_coin: int,
     schedule: PhaseSchedule,
     reflectivity: float,
-    num_steps: int | None = None,
 ) -> list[PathRecord]:
-    """All 2^num_steps branch histories, in lexicographic branch order
-    (port 0 before port 1 at every splitter)."""
-    if num_steps is None:
-        num_steps = schedule.num_steps
+    """All 2^N branch histories of the schedule's N-step walk, in
+    lexicographic branch order (port 0 before port 1 at every splitter)."""
+    num_steps = schedule.num_steps
     reflected: list[np.ndarray] = []
-    re, im, coin, column = _path_sum(initial_coin, schedule, reflectivity, num_steps,
-                                     reflected)
+    re, im, coin, column = _path_sum(initial_coin, schedule, reflectivity, reflected)
     choices = np.array(reflected, dtype=bool).reshape(num_steps, re.size).T.tolist()
     labels = (TRANSMIT, REFLECT)
     return [PathRecord(tuple(labels[b] for b in bits), c, 2 * j - num_steps, complex(r, i))
@@ -116,16 +111,15 @@ def oracle_state(
     initial_coin: int,
     schedule: PhaseSchedule,
     reflectivity: float,
-    num_steps: int | None = None,
 ) -> WalkerState:
-    """Coherent sum of all path amplitudes, as a walker state.
+    """Coherent sum of all path amplitudes over the schedule's N steps, as
+    the walker state after step N.
 
     Must agree componentwise with the matrix evolution; any discrepancy
     points at a branch-bookkeeping bug in one of the two.
     """
-    if num_steps is None:
-        num_steps = schedule.num_steps
-    re, im, coin, column = _path_sum(initial_coin, schedule, reflectivity, num_steps)
+    num_steps = schedule.num_steps
+    re, im, coin, column = _path_sum(initial_coin, schedule, reflectivity)
     # bincount adds the histories into their (coin, column) bins one at a
     # time, in history order: the additions of a scalar loop, bit for bit.
     bins = coin * (num_steps + 1) + column

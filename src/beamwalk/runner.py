@@ -62,7 +62,7 @@ def _simulate(
         trajectory = evolve(initial_state(config.steps, config.initial_coin),
                             schedule, config.reflectivity)
         for state in trajectory:
-            drift = abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0)
+            drift = abs(state.norm() ** 2 - 1.0)
             if drift > NORM_TOLERANCE:
                 raise NumericalInvariantError(
                     f"norm drift {drift:.3e} at step {state.step_index} of "
@@ -107,8 +107,7 @@ def _oracle_check(
     lines = [f"tolerance {_fmt(ORACLE_TOLERANCE)}"]
     worst = 0.0
     for index, (schedule, final) in enumerate(zip(schedules, finals)):
-        reference = oracle_state(config.initial_coin, schedule,
-                                 config.reflectivity, config.steps)
+        reference = oracle_state(config.initial_coin, schedule, config.reflectivity)
         deviation = float(np.max(np.abs(reference.amplitudes - final.amplitudes)))
         worst = max(worst, deviation)
         lines.append(f"realization {index} max_deviation {_fmt(deviation)}")
@@ -257,6 +256,8 @@ def replay(manifest_path: str | Path, output_dir: str | Path | None = None) -> P
         raise ConfigError(f"{manifest_path}: manifest is not UTF-8: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{manifest_path}: invalid manifest JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than int_max_str_digits
+        raise ConfigError(f"{manifest_path}: invalid manifest JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"{manifest_path}: invalid manifest JSON: nested too deeply") from exc
     if not isinstance(document, dict) or "config" not in document:

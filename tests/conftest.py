@@ -1,6 +1,6 @@
 import numpy as np
 
-from beamwalk import WalkerState, coin_field, ordered_schedule
+from beamwalk import PhaseSchedule, WalkerState, coin_field, ordered_schedule
 
 
 def random_walker_state(num_steps: int, step_index: int, rng: np.random.Generator) -> WalkerState:
@@ -14,6 +14,11 @@ def single_coin(reflectivity: float, theta0: float = 0.0, theta1: float = 0.0) -
     a one-step schedule phase theta0 - theta1 under the gauge theta1."""
     return coin_field(ordered_schedule(1, theta0 - theta1), reflectivity, 1,
                       phase_gauge=theta1)[0]
+
+
+def prefix_schedule(schedule: PhaseSchedule, num_steps: int) -> PhaseSchedule:
+    """The schedule of the walk's first ``num_steps`` steps."""
+    return PhaseSchedule(num_steps, schedule.phases[:num_steps * (num_steps + 1) // 2])
 
 
 def random_coin_field(sites, reflectivity: float, rng: np.random.Generator) -> np.ndarray:

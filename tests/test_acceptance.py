@@ -81,7 +81,7 @@ def test_criterion_2_oracle_equivalence():
     for num_steps in range(1, 11):
         for reflectivity, schedule in product(R_GRID, _schedule_grid(num_steps)):
             final = evolve(initial_state(num_steps), schedule, reflectivity)[-1]
-            summed = oracle_state(1, schedule, reflectivity, num_steps)
+            summed = oracle_state(1, schedule, reflectivity)
             worst = max(worst, float(np.max(np.abs(summed.amplitudes - final.amplitudes))))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-10 and elapsed < 10.0

@@ -224,8 +224,8 @@ def test_numerical_violation_exits_two(tmp_path, monkeypatch, capsys):
 
     real = runner.oracle_state
 
-    def skewed(initial_coin, schedule, reflectivity, num_steps=None):
-        state = real(initial_coin, schedule, reflectivity, num_steps)
+    def skewed(initial_coin, schedule, reflectivity):
+        state = real(initial_coin, schedule, reflectivity)
         amplitudes = state.amplitudes.copy()
         amplitudes[state.step_index % 2, -1] += 1e-6  # the site +step_index
         return WalkerState(amplitudes, state.step_index, state.num_steps)
@@ -239,6 +239,27 @@ def test_numerical_violation_exits_two(tmp_path, monkeypatch, capsys):
     # the check runs last, so the files listed after it are written too
     assert (tmp_path / "out" / "distributions.csv").exists()
     assert (tmp_path / "out" / "layout.csv").exists()
+
+
+def test_norm_drift_exits_two(tmp_path, monkeypatch, capsys):
+    import beamwalk.runner as runner
+
+    real = runner.evolve
+
+    def drifting(initial, schedule, reflectivity):
+        trajectory = real(initial, schedule, reflectivity)
+        state = trajectory[2]
+        trajectory[2] = WalkerState(state.amplitudes * (1 + 1e-6), state.step_index,
+                                    state.num_steps)
+        return trajectory
+
+    monkeypatch.setattr(runner, "evolve", drifting)
+    config = write_config(tmp_path / "run.json")
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "norm drift" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 # A manifest exactly as beamwalk 0.2.0 wrote it, with the two settings that
@@ -296,6 +317,22 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "out" / "variances.csv").exists()
+
+
+def test_output_path_that_stdout_cannot_encode_exits_zero(tmp_path):
+    # b"\x80" reaches argv as the lone surrogate "\udc80", which strict
+    # UTF-8 cannot encode; the manifest line escapes it.
+    config = write_config(tmp_path / "run.json", outputs=["variances"])
+    out_dir = os.fsencode(tmp_path) + b"/o\x80"
+    result = subprocess.run(
+        [sys.executable, "-m", "beamwalk", "run", str(config), "--output-dir", out_dir],
+        capture_output=True,
+        env=dict(os.environ, PYTHONIOENCODING="utf-8:strict"),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == b""
+    assert result.stdout.splitlines() == [os.fsencode(tmp_path) + b"/o\\udc80/manifest.json"]
+    assert (Path(os.fsdecode(out_dir)) / "manifest.json").exists()
 
 
 # A child that caps its own address space (RLIMIT_AS, in MiB) before it
@@ -467,6 +504,8 @@ COMPARED = dict(STEP_1, outputs=[{"similarity_vs": "ref.json"}])
 SCHEDULES_1 = [[0.0]]
 NOT_UTF8 = b'{"steps": 1, "reflectivity": 0.5, "output_dir": "\xff"}'
 NESTED_TOO_DEEPLY = b"[" * 100000
+# 5001 digits, past the 4300 that int() converts; json.dumps cannot write it.
+INTEGER_TOO_LONG = b"1" + b"0" * 5000
 
 # command, then the files to write; the first file is the one passed to main.
 MALFORMED_INPUTS = {
@@ -482,11 +521,19 @@ MALFORMED_INPUTS = {
     ),
     "steps-beyond-array-limit": ("run", {"run.json": dict(STEP_1, steps=10**10)}),
     "config-nested-too-deeply": ("run", {"run.json": NESTED_TOO_DEEPLY}),
+    "config-integer-too-long": (
+        "run", {"run.json": b'{"steps": ' + INTEGER_TOO_LONG + b', "reflectivity": 0.5}'}
+    ),
     "reference-nested-too-deeply": (
         "run", {"run.json": COMPARED, "ref.json": NESTED_TOO_DEEPLY}
     ),
     "manifest-not-utf8": ("replay", {"manifest.json": NOT_UTF8}),
     "manifest-nested-too-deeply": ("replay", {"manifest.json": NESTED_TOO_DEEPLY}),
+    "manifest-integer-too-long": (
+        "replay",
+        {"manifest.json": b'{"config": {"steps": ' + INTEGER_TOO_LONG
+         + b', "reflectivity": 0.5}, "schedules": [[0.0]]}'},
+    ),
     "manifest-nul-in-output_dir": (
         "replay",
         {"manifest.json": {"config": dict(STEP_1, output_dir="out\0x"),

@@ -22,7 +22,7 @@ from beamwalk import (
     step,
 )
 from beamwalk.apparatus import reachable_sites
-from conftest import random_coin_field, random_walker_state, single_coin
+from conftest import prefix_schedule, random_coin_field, random_walker_state, single_coin
 
 BALANCED = single_coin(0.5)
 
@@ -160,11 +160,34 @@ def test_step_is_linear():
 
 
 def test_evolve_zero_steps_returns_initial_only():
-    schedule = ordered_schedule(1, 0.0)
-    trajectory = evolve(initial_state(1), schedule, 0.5, steps=0)
+    # a state already at its schedule's end has no step left to take
+    at_end = delta_state(1, 1, site=1, step_index=1)
+    trajectory = evolve(at_end, ordered_schedule(1, 0.0), 0.5)
     assert len(trajectory) == 1
-    assert trajectory[0].step_index == 0
-    np.testing.assert_array_equal(trajectory[0].amplitudes, initial_state(1).amplitudes)
+    assert trajectory[0].step_index == 1
+    np.testing.assert_array_equal(trajectory[0].amplitudes, at_end.amplitudes)
+
+
+def uniform_walk(num_steps, gauge):
+    schedule = disordered_schedule(num_steps, DisorderSpec(UNIFORM_0_2PI, 3, 1), 0)
+    return schedule, evolve(initial_state(num_steps), schedule, 0.44, phase_gauge=gauge)
+
+
+def test_evolving_from_mid_walk_reproduces_the_rest():
+    schedule, trajectory = uniform_walk(9, 0.7)
+    rest = evolve(trajectory[4], schedule, 0.44, phase_gauge=0.7)
+    assert [state.step_index for state in rest] == list(range(4, 10))
+    for state, expected in zip(rest, trajectory[4:], strict=True):
+        assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+
+def test_prefix_schedule_walks_the_first_steps():
+    schedule, trajectory = uniform_walk(9, 0.7)
+    for k in range(1, 10):
+        head = evolve(initial_state(9), prefix_schedule(schedule, k), 0.44, phase_gauge=0.7)
+        assert len(head) == k + 1
+        for state, expected in zip(head, trajectory):
+            assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
 def test_three_step_pinned_distribution():
@@ -185,7 +208,7 @@ def test_evolve_norm_stays_one_under_binary_schedule():
 
 def test_schedule_shorter_than_walk_is_a_schedule_error():
     with pytest.raises(ScheduleError, match="schedule covers 2"):
-        evolve(initial_state(3), ordered_schedule(2, 0.0), 0.5, steps=3)
+        evolve(delta_state(3, 1, site=1, step_index=3), ordered_schedule(2, 0.0), 0.5)
 
 
 def test_gauge_shift_leaves_distributions_unchanged():

@@ -10,7 +10,6 @@ from beamwalk import (
     UNIFORM_0_2PI,
     CapacityError,
     DisorderSpec,
-    ScheduleError,
     disordered_schedule,
     enumerate_paths,
     evolve,
@@ -20,6 +19,7 @@ from beamwalk import (
     position_distribution,
 )
 from beamwalk.oracle import REFLECT, TRANSMIT, _entry
+from conftest import prefix_schedule
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -56,10 +56,9 @@ def test_two_step_paths_interfering_at_the_origin():
     assert at_origin[1].amplitude == pytest.approx(-0.5)
 
 
-@pytest.mark.parametrize("num_steps", [0, 1, 2, 5, 8])
+@pytest.mark.parametrize("num_steps", [1, 2, 5, 8])
 def test_path_count_is_two_to_the_steps(num_steps):
-    schedule = ordered_schedule(max(num_steps, 1), 0.1)
-    records = enumerate_paths(0, schedule, 0.44, num_steps=num_steps)
+    records = enumerate_paths(0, ordered_schedule(num_steps, 0.1), 0.44)
     assert len(records) == 2**num_steps
 
 
@@ -123,21 +122,19 @@ def test_three_step_path_sum_distribution():
     )
 
 
-def test_zero_steps_returns_the_initial_state():
-    summed = oracle_state(1, ordered_schedule(1, 0.0), 0.5, num_steps=0)
-    assert summed.step_index == 0
-    assert summed.amplitude(1, 0) == 1.0
+def test_prefix_schedule_sums_the_first_steps():
+    schedule = disordered_schedule(9, DisorderSpec(UNIFORM_0_2PI, 3, 1), 0)
+    trajectory = evolve(initial_state(9), schedule, 0.44)
+    for k in range(1, 10):
+        summed = oracle_state(1, prefix_schedule(schedule, k), 0.44)
+        assert summed.step_index == k
+        assert np.max(np.abs(summed.amplitudes - trajectory[k].amplitudes)) < 1e-10
 
 
 def test_enumeration_guard_rejects_large_walks():
     schedule = ordered_schedule(21, 0.0)
     with pytest.raises(CapacityError, match="2\\^21"):
         enumerate_paths(0, schedule, 0.5)
-
-
-def test_short_schedule_rejected():
-    with pytest.raises(ScheduleError, match="covers 2"):
-        enumerate_paths(0, ordered_schedule(2, 0.0), 0.5, num_steps=3)
 
 
 def test_labels_distinguish_reflection_from_transmission():
