@@ -115,11 +115,13 @@ def evolve(
     The trajectory ends on the final shift: no trailing coin layer is
     applied, matching a network read out right after the last splitter
     row.  Phases are packed step by step, so the first k steps of a walk
-    are the walk of ``PhaseSchedule(k, schedule.phases[:k * (k + 1) // 2])``.
+    are the walk of ``PhaseSchedule(k, schedule.phases[:k * (k + 1) // 2])``;
+    a lattice longer than the schedule is fine, and one shorter than it
+    is a ``ScheduleError`` before any step is taken.
     """
-    if initial.step_index > schedule.num_steps:
-        raise ScheduleError(f"schedule covers {schedule.num_steps} steps, but the state "
-                            f"is at step {initial.step_index}")
+    if not initial.step_index <= schedule.num_steps <= initial.num_steps:
+        raise ScheduleError(f"schedule covers {schedule.num_steps} steps, but the state is at "
+                            f"step {initial.step_index} of a {initial.num_steps}-step lattice")
     trajectory = [initial]
     state = initial
     for k in range(initial.step_index + 1, schedule.num_steps + 1):

@@ -7,7 +7,7 @@ total so every row sums to 1.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +115,6 @@ def similarity(a: DistributionSeries, b: DistributionSeries) -> float:
     ``len(steps)**2``: each row sums to 1 only to within rounding, and
     computing it keeps the bytes of ``similarity.txt``.
     """
-    _check_same_steps(a, b)
     overlap = sum(bhattacharyya_partials(a, b))
     total_a = sum(float(row.probs.sum()) for row in a.rows)
     total_b = sum(float(row.probs.sum()) for row in b.rows)
@@ -151,15 +150,8 @@ def ensemble_mean_series(runs: Sequence[DistributionSeries]) -> DistributionSeri
     return DistributionSeries(tuple(rows))
 
 
-def series_from_trajectory(
-    trajectory: Sequence[WalkerState],
-    steps: Iterable[int] | None = None,
-) -> DistributionSeries:
-    """Distributions at the selected steps of a trajectory (default: all)."""
-    by_step = {state.step_index: state for state in trajectory}
-    wanted = sorted(by_step) if steps is None else sorted(set(steps))
-    missing = [k for k in wanted if k not in by_step]
-    if missing:
-        raise ValueError(f"trajectory has no states at steps {missing}")
-    rows = tuple(position_distribution(by_step[k]) for k in wanted)
-    return DistributionSeries(rows)
+def series_from_trajectory(trajectory: Sequence[WalkerState]) -> DistributionSeries:
+    """Distributions of the given states, in order.  Slice the trajectory
+    to choose steps: ``trajectory[1:]`` gives steps 1..N, ``trajectory[-1:]``
+    the last; states whose steps do not strictly increase are a ``ValueError``."""
+    return DistributionSeries(tuple(position_distribution(state) for state in trajectory))

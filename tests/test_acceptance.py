@@ -57,7 +57,7 @@ def _mean_final_distribution(num_steps, reflectivity, schedules) -> Distribution
     runs = []
     for schedule in schedules:
         trajectory = evolve(initial_state(num_steps), schedule, reflectivity)
-        runs.append(series_from_trajectory(trajectory, steps=[num_steps]))
+        runs.append(series_from_trajectory(trajectory[-1:]))
     return ensemble_mean_series(runs).rows[0]
 
 
@@ -97,7 +97,7 @@ def test_criterion_3_known_small_walk_values():
     for step_number, probs in expected.items():
         measured = position_distribution(trajectory[step_number])
         worst = max(worst, float(np.max(np.abs(measured.probs - np.array(probs)))))
-    variances = variance_series(series_from_trajectory(trajectory, steps=[1, 2, 3]))
+    variances = variance_series(series_from_trajectory(trajectory[1:]))
     worst = max(worst, float(np.max(np.abs(np.array(variances) - [1.0, 2.0, 2.75]))))
     _report("3 small-walk values", worst < 1e-10, f"max error {worst:.3e}")
     assert worst < 1e-10
@@ -105,7 +105,7 @@ def test_criterion_3_known_small_walk_values():
 
 def _ordered_variances(num_steps: int, reflectivity: float) -> list[float]:
     trajectory = evolve(initial_state(num_steps), ordered_schedule(num_steps, 0.0), reflectivity)
-    return variance_series(series_from_trajectory(trajectory, steps=range(1, num_steps + 1)))
+    return variance_series(series_from_trajectory(trajectory[1:]))
 
 
 def test_criterion_4a_ordered_growth_ratio():
@@ -200,12 +200,10 @@ def test_criterion_6_gauge_invariance(gauge):
 
 def test_criterion_7_similarity_properties():
     ideal = series_from_trajectory(
-        evolve(initial_state(STEPS), ordered_schedule(STEPS, 0.0), 0.5),
-        steps=range(1, STEPS + 1),
+        evolve(initial_state(STEPS), ordered_schedule(STEPS, 0.0), 0.5)[1:]
     )
     real = series_from_trajectory(
-        evolve(initial_state(STEPS), ordered_schedule(STEPS, 0.0), 0.44),
-        steps=range(1, STEPS + 1),
+        evolve(initial_state(STEPS), ordered_schedule(STEPS, 0.0), 0.44)[1:]
     )
     self_error = abs(similarity(real, real) - 1.0)
     symmetry_error = abs(similarity(ideal, real) - similarity(real, ideal))

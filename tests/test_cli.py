@@ -79,14 +79,34 @@ def test_disordered_run_emits_per_realization_variances(tmp_path):
         steps=5,
         reflectivity=0.44,
         schedule_mode={"mode": "disordered", "seed": 9, "realization_count": 3},
-        outputs=["variances"],
+        outputs=["distributions", "variances"],
     )
     assert main(["run", str(config)]) == 0
     out = tmp_path / "out"
-    assert (out / "variances.csv").exists()
-    for j in range(3):
-        assert (out / f"variances_r{j}.csv").exists()
     assert not (out / "variances_r3.csv").exists()
+
+    # The same tables, rebuilt from the library tour's calls.
+    def table(header, rows):
+        return "\n".join([header, *rows]) + "\n"
+
+    def variance_table(series):
+        values = beamwalk.variance_series(series)
+        return table("step,variance",
+                     [f"{k},{format(v, '.12g')}" for k, v in zip(series.steps, values)])
+
+    schedules = beamwalk.ensemble_schedules(5, DisorderSpec(BINARY_0_PI, 9, 3))
+    trajectories = [beamwalk.evolve(beamwalk.initial_state(5), s, 0.44) for s in schedules]
+    walks = [beamwalk.series_from_trajectory(trajectory[1:]) for trajectory in trajectories]
+    for j, walk in enumerate(walks):
+        assert (out / f"variances_r{j}.csv").read_bytes() == variance_table(walk).encode()
+    mean_walk = beamwalk.ensemble_mean_series(walks)
+    assert (out / "variances.csv").read_bytes() == variance_table(mean_walk).encode()
+    mean = beamwalk.ensemble_mean_series(
+        [beamwalk.series_from_trajectory(trajectory) for trajectory in trajectories]
+    )
+    rows = [f"{row.step},{site},{format(float(p), '.12g')}"
+            for row in mean.rows for site, p in zip(row.sites, row.probs)]
+    assert (out / "distributions.csv").read_bytes() == table("step,site,p", rows).encode()
 
 
 def test_oracle_check_passes_and_reports(tmp_path):

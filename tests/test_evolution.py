@@ -21,6 +21,7 @@ from beamwalk import (
     position_distribution,
     step,
 )
+from beamwalk import evolution
 from beamwalk.apparatus import reachable_sites
 from conftest import prefix_schedule, random_coin_field, random_walker_state, single_coin
 
@@ -209,6 +210,20 @@ def test_evolve_norm_stays_one_under_binary_schedule():
 def test_schedule_shorter_than_walk_is_a_schedule_error():
     with pytest.raises(ScheduleError, match="schedule covers 2"):
         evolve(delta_state(3, 1, site=1, step_index=3), ordered_schedule(2, 0.0), 0.5)
+
+
+def test_lattice_shorter_than_the_schedule_is_refused_before_any_step(monkeypatch):
+    stepped = []
+    real_coin_field = evolution.coin_field
+
+    def counting_coin_field(*args):
+        stepped.append(args)
+        return real_coin_field(*args)
+
+    monkeypatch.setattr(evolution, "coin_field", counting_coin_field)
+    with pytest.raises(ScheduleError, match="schedule covers 5 steps.*3-step lattice"):
+        evolve(initial_state(3), ordered_schedule(5, 0.0), 0.5)
+    assert stepped == []
 
 
 def test_gauge_shift_leaves_distributions_unchanged():

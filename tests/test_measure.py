@@ -5,6 +5,7 @@ from beamwalk import (
     Distribution,
     DistributionSeries,
     WalkerState,
+    bhattacharyya_partials,
     delta_state,
     ensemble_mean_series,
     evolve,
@@ -71,7 +72,7 @@ def test_variance_is_reflection_invariant():
 
 
 def test_variance_series_of_the_ordered_walk(ordered_walk):
-    measured = series_from_trajectory(ordered_walk[:4], steps=[1, 2, 3])
+    measured = series_from_trajectory(ordered_walk[1:4])
     np.testing.assert_allclose(variance_series(measured), [1.0, 2.0, 2.75], atol=1e-12)
 
 
@@ -87,7 +88,7 @@ def test_variance_is_bounded_by_the_step_squared(ordered_walk):
 
 
 def test_similarity_of_a_series_with_itself_is_one(ordered_walk):
-    measured = series_from_trajectory(ordered_walk, steps=range(1, 8))
+    measured = series_from_trajectory(ordered_walk[1:])
     assert similarity(measured, measured) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -99,22 +100,20 @@ def test_similarity_vanishes_on_disjoint_supports():
 
 def test_similarity_is_symmetric(ordered_walk):
     other = evolve(initial_state(7), ordered_schedule(7, 0.0), 0.44)
-    a = series_from_trajectory(ordered_walk, steps=range(1, 8))
-    b = series_from_trajectory(other, steps=range(1, 8))
+    a = series_from_trajectory(ordered_walk[1:])
+    b = series_from_trajectory(other[1:])
     assert abs(similarity(a, b) - similarity(b, a)) < 1e-12
 
 
 def test_similarity_separates_localized_from_ballistic(ordered_walk):
     from beamwalk import DisorderSpec, ensemble_mean_series as mean_series, ensemble_schedules
 
-    ideal = series_from_trajectory(ordered_walk, steps=range(1, 8))
-    real = series_from_trajectory(
-        evolve(initial_state(7), ordered_schedule(7, 0.0), 0.44), steps=range(1, 8)
-    )
+    ideal = series_from_trajectory(ordered_walk[1:])
+    real = series_from_trajectory(evolve(initial_state(7), ordered_schedule(7, 0.0), 0.44)[1:])
     spec = DisorderSpec("binary_0_pi", seed=6, realization_count=30)
     localized = mean_series(
         [
-            series_from_trajectory(evolve(initial_state(7), s, 0.5), steps=range(1, 8))
+            series_from_trajectory(evolve(initial_state(7), s, 0.5)[1:])
             for s in ensemble_schedules(7, spec)
         ]
     )
@@ -123,11 +122,13 @@ def test_similarity_separates_localized_from_ballistic(ordered_walk):
     assert far_apart < nearly_equal - 0.05
 
 
-def test_similarity_rejects_mismatched_step_sets():
+@pytest.mark.parametrize("compare", [similarity, bhattacharyya_partials],
+                         ids=lambda compare: compare.__name__)
+def test_similarity_rejects_mismatched_step_sets(compare):
     a = series((1, [0.5, 0.5]))
     b = series((2, [0.25, 0.5, 0.25]))
     with pytest.raises(ValueError, match="different steps"):
-        similarity(a, b)
+        compare(a, b)
 
 
 def test_mean_of_a_single_run_is_the_run_itself():
@@ -159,9 +160,9 @@ def test_mean_rows_stay_normalized():
     assert abs(float(mean.rows[0].probs.sum()) - 1.0) < 1e-10
 
 
-def test_series_from_trajectory_validates_requested_steps(ordered_walk):
-    with pytest.raises(ValueError, match="no states"):
-        series_from_trajectory(ordered_walk, steps=[9])
+def test_series_from_trajectory_rejects_states_out_of_order(ordered_walk):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        series_from_trajectory(ordered_walk[::-1])
 
 
 def test_distribution_validation():
