@@ -136,6 +136,12 @@ def _walk_steps(series: DistributionSeries) -> DistributionSeries:
     return DistributionSeries(series.rows[1:])
 
 
+def _bundle(config: RunConfig, schedules: list[PhaseSchedule]) -> dict:
+    """A manifest's run entry: the config echo and the exact phases."""
+    return {"config": config_echo(config),
+            "schedules": [schedule.phases.tolist() for schedule in schedules]}
+
+
 def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
     """Decode one serialized schedule: the packed phases of a
     ``num_steps``-step walk, as ``PhaseSchedule.phases`` orders them."""
@@ -151,12 +157,15 @@ def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
         raise ConfigError(f"{source}: bad serialized schedule: {exc}") from exc
 
 
-def _schedules_from_json(raw, config: RunConfig, source: str) -> list[PhaseSchedule]:
+def _read_bundle(bundle: dict, source: str) -> tuple[RunConfig, list[PhaseSchedule]]:
+    """Decode a run entry that ``_bundle`` wrote: its config and schedules."""
+    config = parse_config(bundle.get("config"), source=f"{source}:config")
+    raw = bundle.get("schedules", [])
     expected = 1 if config.disorder is None else config.disorder.realization_count
     if not isinstance(raw, list) or len(raw) != expected:
         found = len(raw) if isinstance(raw, list) else repr(raw)
         raise ConfigError(f"{source}: expected {expected} serialized schedule(s), found {found}")
-    return [_schedule_from_json(obj, config.steps, source) for obj in raw]
+    return config, [_schedule_from_json(obj, config.steps, source) for obj in raw]
 
 
 def _check_reference_steps(config: RunConfig, ref_config: RunConfig, source: str) -> None:
@@ -171,10 +180,12 @@ def _execute(
     config: RunConfig,
     schedules: list[PhaseSchedule],
     reference: tuple[RunConfig, list[PhaseSchedule]] | None,
-    out_dir: Path,
+    output_dir: str | Path | None,
 ) -> Path:
-    """Write the requested data files, then the manifest.  The oracle check
-    runs last, so a failing check (exit 2) leaves every other file written."""
+    """Write the requested data files, then the manifest, into
+    ``output_dir`` or else the config's.  The oracle check runs last, so a
+    failing check (exit 2) leaves every other file written."""
+    out_dir = Path(output_dir if output_dir is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     series_all, finals = _simulate(config, schedules)
     mean = ensemble_mean_series(series_all)
@@ -201,16 +212,9 @@ def _execute(
     manifest = {
         "artifact": {"name": "beamwalk", "version": __version__},
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": config_echo(config),
-        "schedules": [schedule.phases.tolist() for schedule in schedules],
-        "reference": None,
+        **_bundle(config, schedules),
+        "reference": None if reference is None else _bundle(*reference),
     }
-    if reference is not None:
-        ref_config, ref_schedules = reference
-        manifest["reference"] = {
-            "config": config_echo(ref_config),
-            "schedules": [schedule.phases.tolist() for schedule in ref_schedules],
-        }
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, separators=(",", ":")) + "\n",
                              encoding="utf-8", newline="\n")
@@ -225,29 +229,26 @@ def run(
     """Execute a run; returns the path of the manifest it wrote.
 
     ``base_dir`` anchors relative similarity_vs references (defaults to
-    the working directory); ``output_dir`` overrides the config's.
+    the working directory); ``output_dir`` overrides the config's.  A
+    reference that cannot be read, or whose steps differ, is refused
+    before any schedule is drawn.
     """
-    base = Path(base_dir) if base_dir is not None else Path.cwd()
-    schedules = _schedules_for(config)
-
     reference = None
     if config.similarity_vs is not None:
-        ref_path = Path(config.similarity_vs)
-        if not ref_path.is_absolute():
-            ref_path = base / ref_path
+        ref_path = Path(base_dir if base_dir is not None else Path.cwd()) / config.similarity_vs
         ref_config = load_config(ref_path)
         _check_reference_steps(config, ref_config, str(ref_path))
         reference = (ref_config, _schedules_for(ref_config))
-
-    out_dir = Path(output_dir) if output_dir is not None else Path(config.output_dir)
-    return _execute(config, schedules, reference, out_dir)
+    return _execute(config, _schedules_for(config), reference, output_dir)
 
 
 def replay(manifest_path: str | Path, output_dir: str | Path | None = None) -> Path:
     """Re-run a manifest using its serialized schedules.
 
-    Reproduces every data file of the original run byte for byte; only
-    the new manifest's timestamp differs.
+    Reads the manifest's run entry, and its reference entry when the run
+    compares against one, then executes them as ``run`` does.  Reproduces
+    every data file of the original run byte for byte; only the new
+    manifest's timestamp differs.  ``output_dir`` overrides the config's.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -263,20 +264,12 @@ def replay(manifest_path: str | Path, output_dir: str | Path | None = None) -> P
     if not isinstance(document, dict) or "config" not in document:
         raise ConfigError(f"{manifest_path}: not a run manifest")
 
-    config = parse_config(document["config"], source=f"{manifest_path}:config")
-    schedules = _schedules_from_json(document.get("schedules", []), config,
-                                     str(manifest_path))
-
+    config, schedules = _read_bundle(document, str(manifest_path))
     reference = None
     if config.similarity_vs is not None:
         bundle = document.get("reference")
         if not isinstance(bundle, dict):
             raise ConfigError(f"{manifest_path}: manifest lacks the reference run data")
-        ref_config = parse_config(bundle.get("config"), source=f"{manifest_path}:reference")
-        _check_reference_steps(config, ref_config, f"{manifest_path}:reference")
-        ref_schedules = _schedules_from_json(bundle.get("schedules", []), ref_config,
-                                             f"{manifest_path}:reference")
-        reference = (ref_config, ref_schedules)
-
-    out_dir = Path(output_dir) if output_dir is not None else Path(config.output_dir)
-    return _execute(config, schedules, reference, out_dir)
+        reference = _read_bundle(bundle, f"{manifest_path}:reference")
+        _check_reference_steps(config, reference[0], f"{manifest_path}:reference")
+    return _execute(config, schedules, reference, output_dir)

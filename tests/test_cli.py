@@ -485,6 +485,32 @@ def test_run_checks_the_reference_step_count(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("reference", [{"steps": 4, "reflectivity": 0.5}, None],
+                         ids=["steps-differ", "missing"])
+def test_a_refused_reference_draws_no_schedule(tmp_path, monkeypatch, capsys, reference):
+    import beamwalk.runner as runner
+
+    draws = []
+
+    def counted(real):
+        def draw(*args):
+            draws.append(args)
+            return real(*args)
+        return draw
+
+    for name in ("ordered_schedule", "ensemble_schedules"):
+        monkeypatch.setattr(runner, name, counted(getattr(runner, name)))
+    if reference is not None:
+        (tmp_path / "ref.json").write_text(json.dumps(reference))
+    config = write_config(tmp_path / "run.json", outputs=[{"similarity_vs": "ref.json"}])
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("beamwalk: config error:") and "ref.json" in err
+    assert len(err.strip().splitlines()) == 1
+    assert draws == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_replay_checks_the_reference_step_count(tmp_path, capsys):
     write_config(tmp_path / "ref.json", outputs=["distributions"])
     config = write_config(tmp_path / "run.json", outputs=[{"similarity_vs": "ref.json"}])
