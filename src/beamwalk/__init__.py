@@ -6,7 +6,7 @@ plus disorder ensembles, measurement statistics, a brute-force path-sum
 cross-check, and the geometry of the folded two-interferometer setup.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .apparatus import ModeLocus, displacer_passages, mode_locus, reachable_sites
 from .errors import CapacityError, ConfigError, NumericalInvariantError, ScheduleError

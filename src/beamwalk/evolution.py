@@ -66,7 +66,7 @@ def apply_shift(state: WalkerState) -> WalkerState:
     new = np.zeros((2, amps.shape[1] + 1), dtype=np.complex128)
     new[1, :-1] = amps[0]
     new[0, 1:] = amps[1]
-    return WalkerState(new, state.step_index + 1, state.num_steps)
+    return WalkerState._owning(new, state.step_index + 1, state.num_steps)
 
 
 def step(state: WalkerState, coins: np.ndarray) -> WalkerState:
@@ -125,6 +125,10 @@ def evolve(
     trajectory = [initial]
     state = initial
     for k in range(initial.step_index + 1, schedule.num_steps + 1):
-        state = step(state, coin_field(schedule, reflectivity, k, phase_gauge))
+        # Two statements, not ``step``: the coin stack is freed before the
+        # shift allocates the next state, so the heap reuses that block
+        # instead of growing around it.
+        mixed = apply_coin_layer(state, coin_field(schedule, reflectivity, k, phase_gauge))
+        state = apply_shift(mixed)
         trajectory.append(state)
     return trajectory

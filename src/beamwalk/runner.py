@@ -1,12 +1,14 @@
 """Batch execution: simulate a configured run and write its tables.
 
 Every run writes a manifest that echoes the validated config and the
-exact phase schedules used, so any run can be replayed bit-for-bit from
-its manifest alone, without regenerating disorder from the seed.
+exact phase schedules used, each as base64 of its little-endian float64
+bytes, so any run can be replayed bit-for-bit from its manifest alone,
+without regenerating disorder from the seed.
 """
 
 from __future__ import annotations
 
+import base64
 import datetime
 import json
 from pathlib import Path
@@ -137,18 +139,31 @@ def _walk_steps(series: DistributionSeries) -> DistributionSeries:
 
 
 def _bundle(config: RunConfig, schedules: list[PhaseSchedule]) -> dict:
-    """A manifest's run entry: the config echo and the exact phases."""
+    """A manifest's run entry: the config echo and the exact phases, each
+    schedule as one ASCII base64 string of its little-endian float64 bytes."""
     return {"config": config_echo(config),
-            "schedules": [schedule.phases.tolist() for schedule in schedules]}
+            "schedules": [base64.b64encode(schedule.phases.astype("<f8").tobytes()).decode("ascii")
+                          for schedule in schedules]}
 
 
 def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
     """Decode one serialized schedule: the packed phases of a
-    ``num_steps``-step walk, as ``PhaseSchedule.phases`` orders them."""
+    ``num_steps``-step walk, as ``PhaseSchedule.phases`` orders them.
+
+    A string is the 0.3 format, base64 of exactly N(N+1)/2 little-endian
+    float64 values; a flat list of numbers is the 0.2 format.
+    """
     try:
+        if isinstance(raw, str):
+            data = base64.b64decode(raw.encode("ascii"), validate=True)
+            expected = 8 * (num_steps * (num_steps + 1) // 2)
+            if len(data) != expected:
+                raise ValueError(f"expected {expected} bytes of float64 phases, "
+                                 f"got {len(data)}")
+            return PhaseSchedule(num_steps, np.frombuffer(data, "<f8"))
         if not isinstance(raw, list):
-            raise TypeError("expected a flat list of phases (the 0.2 format), "
-                            f"got {type(raw).__name__}")
+            raise TypeError("expected a base64 string (the 0.3 format) or a flat list "
+                            f"of phases (the 0.2 format), got {type(raw).__name__}")
         for phase in raw:
             if not is_finite_number(phase):
                 raise ValueError(f"expected a finite number, got {phase!r}")

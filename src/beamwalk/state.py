@@ -26,10 +26,23 @@ class WalkerState:
     num_steps: int
 
     def __post_init__(self) -> None:
+        self._adopt(self.amplitudes, copy=True)
+
+    @classmethod
+    def _owning(cls, amplitudes: np.ndarray, step_index: int, num_steps: int) -> WalkerState:
+        """A state that keeps ``amplitudes``, a complex128 array its caller
+        has just allocated and hands over, without the defensive copy."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "step_index", step_index)
+        object.__setattr__(state, "num_steps", num_steps)
+        state._adopt(amplitudes, copy=False)
+        return state
+
+    def _adopt(self, amplitudes, copy: bool) -> None:
         if not 0 <= self.step_index <= self.num_steps:
             raise ValueError(f"step_index must be in [0, {self.num_steps}], "
                              f"got {self.step_index}")
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
+        amps = np.array(amplitudes, dtype=np.complex128, copy=copy)
         expected = (2, self.step_index + 1)
         if amps.shape != expected:
             raise ValueError(f"amplitudes must have shape {expected}, got {amps.shape}")

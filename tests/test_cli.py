@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -18,6 +19,16 @@ def write_config(path, **overrides):
     document.update(overrides)
     path.write_text(json.dumps(document))
     return path
+
+
+def decode_phases(text):
+    """The float64 phases of one schedule as a 0.3 manifest stores it."""
+    return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+
+
+def encode_phases(phases):
+    """One schedule in the 0.3 manifest format: base64 of little-endian float64."""
+    return base64.b64encode(np.asarray(phases, dtype="<f8").tobytes()).decode("ascii")
 
 
 def read_rows(path):
@@ -156,12 +167,13 @@ def test_manifest_echoes_config_and_schedules(tmp_path):
     manifest = json.loads(text)
     assert manifest["artifact"]["name"] == "beamwalk"
     assert manifest["config"]["steps"] == 3
-    # one flat list of packed phases per realization, in index order
+    assert manifest["artifact"]["version"] == beamwalk.__version__
+    # one base64 string of packed float64 phases per realization, in index order
     spec = DisorderSpec(BINARY_0_PI, seed=11, realization_count=2)
-    assert manifest["schedules"] == [
-        disordered_schedule(3, spec, j).phases.tolist() for j in range(2)
-    ]
-    assert all(len(phases) == 1 + 2 + 3 for phases in manifest["schedules"])
+    assert len(manifest["schedules"]) == 2
+    for j, text in enumerate(manifest["schedules"]):
+        assert isinstance(text, str) and text.isascii()
+        assert decode_phases(text).tobytes() == disordered_schedule(3, spec, j).phases.tobytes()
 
 
 def test_replay_reproduces_the_data_files(tmp_path):
@@ -192,7 +204,7 @@ def test_replay_honors_tampered_schedules(tmp_path):
     assert main(["run", str(config)]) == 0
     manifest_path = tmp_path / "out" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["schedules"] = [[0.0] * len(phases) for phases in manifest["schedules"]]
+    manifest["schedules"] = [encode_phases(np.zeros(1 + 2 + 3 + 4 + 5))]
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(manifest))
     replayed = tmp_path / "replayed"
@@ -417,9 +429,10 @@ def with_fourth_phase(value):
     return lambda phases: phases[:3] + [value] + phases[4:]
 
 
-# tamper -> how it edits realization 1's packed phases of a 6-step walk;
-# each result must be refused, as the 0.1 entries format is.  json writes
-# the floats as NaN and Infinity, and 10**400 as an integer literal.
+# tamper -> how it edits realization 1's packed phases of a 6-step walk,
+# written as a 0.2 flat list; each result must be refused, as the 0.1
+# entries format is.  json writes the floats as NaN and Infinity, and
+# 10**400 as an integer literal.
 TAMPERS = {
     "missing": lambda phases: phases[:3] + phases[4:],
     "extra": lambda phases: phases + [0.0],
@@ -437,8 +450,7 @@ TAMPERS = {
 }
 
 
-@pytest.mark.parametrize("tamper", list(TAMPERS))
-def test_replay_rejects_entries_that_miss_or_repeat_mesh_points(tmp_path, capsys, tamper):
+def six_step_ensemble_manifest(tmp_path):
     config = write_config(
         tmp_path / "run.json",
         steps=6,
@@ -446,13 +458,55 @@ def test_replay_rejects_entries_that_miss_or_repeat_mesh_points(tmp_path, capsys
                        "realization_count": 2},
         outputs=["distributions"],
     )
-    manifest = run_then_load_manifest(tmp_path, config)
+    return run_then_load_manifest(tmp_path, config)
+
+
+@pytest.mark.parametrize("tamper", list(TAMPERS))
+def test_replay_rejects_entries_that_miss_or_repeat_mesh_points(tmp_path, capsys, tamper):
+    manifest = six_step_ensemble_manifest(tmp_path)
+    # the same manifest in the 0.2 form, which replay still reads
+    manifest["schedules"] = [decode_phases(text).tolist() for text in manifest["schedules"]]
     assert len(manifest["schedules"][1]) == 21
     manifest["schedules"][1] = TAMPERS[tamper](manifest["schedules"][1])
     capsys.readouterr()
     assert replay_document(tmp_path, manifest) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "bad serialized schedule" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "replayed").exists()
+
+
+def with_fourth_phase_bytes(value):
+    def tamper(text):
+        phases = decode_phases(text).copy()
+        phases[3] = value
+        return encode_phases(phases)
+    return tamper
+
+
+# tamper -> how it edits realization 1's base64 schedule of a 6-step walk
+# (21 phases, 168 bytes, 224 characters with no padding).
+BASE64_TAMPERS = {
+    "non-alphabet": lambda text: text[:10] + "!" + text[11:],
+    "bad-padding": lambda text: text[:6] + "==" + text[8:],
+    "8-bytes-missing": lambda text: encode_phases(decode_phases(text)[:-1]),
+    "8-bytes-extra": lambda text: encode_phases(np.append(decode_phases(text), 0.0)),
+    "nan": with_fourth_phase_bytes(float("nan")),
+    "infinity": with_fourth_phase_bytes(float("inf")),
+    "non-ascii": lambda text: text[:10] + "\u03c0" + text[11:],
+    "number": lambda text: 5,
+}
+
+
+@pytest.mark.parametrize("tamper", list(BASE64_TAMPERS))
+def test_replay_rejects_bad_base64_schedules(tmp_path, capsys, tamper):
+    manifest = six_step_ensemble_manifest(tmp_path)
+    assert len(manifest["schedules"][1]) == 224
+    manifest["schedules"][1] = BASE64_TAMPERS[tamper](manifest["schedules"][1])
+    capsys.readouterr()
+    assert replay_document(tmp_path, manifest) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("beamwalk: config error:") and "bad serialized schedule" in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "replayed").exists()
 

@@ -1,5 +1,6 @@
 """Property-based checks of the core invariants."""
 
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from beamwalk import (
     DisorderSpec,
     Distribution,
     DistributionSeries,
+    PhaseSchedule,
     WalkerState,
     apply_coin_layer,
     apply_shift,
@@ -23,6 +25,8 @@ from beamwalk import (
     step,
     variance,
 )
+from beamwalk.config import parse_config
+from beamwalk.runner import _bundle, _read_bundle
 from conftest import random_coin_field, random_walker_state
 
 reflectivities = st.one_of(
@@ -167,3 +171,37 @@ def test_ordered_walks_always_normalize(theta, num_steps):
     schedule = ordered_schedule(num_steps, theta)
     trajectory = evolve(initial_state(num_steps), schedule, 0.44)
     assert abs(trajectory[-1].norm() - 1.0) < 1e-10
+
+
+# Every finite float64, with the edges a text encoding could lose weighted in:
+# signed zeros, subnormals, +-pi and values near the float range's end.
+finite_phases = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308, math.pi, -math.pi,
+                     1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def phase_ensembles(draw):
+    num_steps = draw(st.integers(min_value=1, max_value=8))
+    count = draw(st.integers(min_value=1, max_value=3))
+    size = num_steps * (num_steps + 1) // 2
+    phases = [np.array(draw(st.lists(finite_phases, min_size=size, max_size=size)))
+              for _ in range(count)]
+    return num_steps, phases
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensemble=phase_ensembles())
+def test_manifest_schedules_round_trip_bit_for_bit(ensemble):
+    num_steps, phases = ensemble
+    config = parse_config({"steps": num_steps, "reflectivity": 0.5,
+                           "schedule_mode": {"mode": "disordered", "seed": 0,
+                                             "realization_count": len(phases)}})
+    bundle = _bundle(config, [PhaseSchedule(num_steps, p) for p in phases])
+    read_config, schedules = _read_bundle(json.loads(json.dumps(bundle)), "manifest.json")
+    assert read_config == config
+    assert len(schedules) == len(phases)
+    for schedule, written in zip(schedules, phases):
+        assert np.array_equal(schedule.phases.view(np.int64), written.view(np.int64))

@@ -42,6 +42,16 @@ def test_amplitudes_are_copied_on_construction():
     assert state.amplitude(1, 0) == 1.0
 
 
+def test_a_handed_over_array_is_kept_and_checked():
+    # the path apply_shift takes for the array it has just allocated
+    amps = np.zeros((2, 2), dtype=complex)
+    assert WalkerState._owning(amps, 1, 3).amplitudes is amps
+    with pytest.raises(ValueError, match="shape"):
+        WalkerState._owning(amps, 0, 3)
+    with pytest.raises(ValueError, match="step_index"):
+        WalkerState._owning(amps, 4, 3)
+
+
 def test_wrong_shape_rejected():
     with pytest.raises(ValueError, match="shape"):
         WalkerState(np.zeros((2, 6), dtype=complex), 0, 3)
