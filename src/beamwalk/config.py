@@ -1,9 +1,10 @@
 """Run configuration documents.
 
 A run is described by a JSON document with the fields of ``RunConfig``;
-unknown keys are rejected so typos fail loudly.  ``load_config`` /
-``parse_config`` validate everything up front and report the offending
-field by name.
+unknown keys are rejected so typos fail loudly.  ``parse_config``
+validates a parsed document up front and names the offending field.
+Every JSON input (a config, a reference, a manifest) is read inside
+``reading``, so one that cannot be read or parsed is one ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,21 +159,9 @@ _TOP_LEVEL_KEYS = (
 )
 
 
-def parse_config(document: str | Mapping, source: str = "<config>") -> RunConfig:
-    """Validate a config document (JSON text or an already-parsed mapping)."""
-    if isinstance(document, str):
-        try:
-            raw = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                              f"{exc.msg}") from exc
-        except ValueError as exc:  # an integer longer than int_max_str_digits
-            raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise ConfigError(f"{source}: invalid JSON: nested too deeply") from exc
-    else:
-        raw = document
-    raw = _as_mapping(raw, source, "document")
+def parse_config(document: Mapping, source: str = "<config>") -> RunConfig:
+    """Validate an already-parsed config document."""
+    raw = _as_mapping(document, source, "document")
     _reject_unknown(raw, _TOP_LEVEL_KEYS, source, "document")
 
     if "steps" not in raw:
@@ -244,16 +234,30 @@ def parse_config(document: str | Mapping, source: str = "<config>") -> RunConfig
     )
 
 
+@contextmanager
+def reading(path: Path) -> Iterator[None]:
+    """Turn a failure to read ``path`` or parse it as JSON into one ``ConfigError`` line."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc.reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                          f"{exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than int_max_str_digits
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Read and validate a JSON config file."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: config is not UTF-8: {exc.reason}") from exc
-    return parse_config(text, source=str(path))
+    with reading(path):
+        document = json.loads(path.read_text(encoding="utf-8"))
+    return parse_config(document, source=str(path))
 
 
 def config_echo(config: RunConfig) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .apparatus import layout_table
-from .config import RunConfig, config_echo, is_finite_number, load_config, parse_config
+from .config import RunConfig, config_echo, is_finite_number, load_config, parse_config, reading
 from .errors import ConfigError, NumericalInvariantError
 from .evolution import evolve
 from .measure import (
@@ -150,8 +150,8 @@ def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
     """Decode one serialized schedule: the packed phases of a
     ``num_steps``-step walk, as ``PhaseSchedule.phases`` orders them.
 
-    A string is the 0.3 format, base64 of exactly N(N+1)/2 little-endian
-    float64 values; a flat list of numbers is the 0.2 format.
+    A string is the 0.3 format, the canonical base64 of exactly N(N+1)/2
+    little-endian float64 values; a flat list of numbers is the 0.2 format.
     """
     try:
         if isinstance(raw, str):
@@ -160,6 +160,8 @@ def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
             if len(data) != expected:
                 raise ValueError(f"expected {expected} bytes of float64 phases, "
                                  f"got {len(data)}")
+            if base64.b64encode(data).decode("ascii") != raw:
+                raise ValueError("not the canonical base64 of its bytes (extra padding or bits)")
             return PhaseSchedule(num_steps, np.frombuffer(data, "<f8"))
         if not isinstance(raw, list):
             raise TypeError("expected a base64 string (the 0.3 format) or a flat list "
@@ -266,16 +268,8 @@ def replay(manifest_path: str | Path, output_dir: str | Path | None = None) -> P
     manifest's timestamp differs.  ``output_dir`` overrides the config's.
     """
     manifest_path = Path(manifest_path)
-    try:
+    with reading(manifest_path):
         document = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{manifest_path}: manifest is not UTF-8: {exc.reason}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{manifest_path}: invalid manifest JSON: {exc.msg}") from exc
-    except ValueError as exc:  # an integer longer than int_max_str_digits
-        raise ConfigError(f"{manifest_path}: invalid manifest JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ConfigError(f"{manifest_path}: invalid manifest JSON: nested too deeply") from exc
     if not isinstance(document, dict) or "config" not in document:
         raise ConfigError(f"{manifest_path}: not a run manifest")
 

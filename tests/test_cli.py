@@ -450,10 +450,10 @@ TAMPERS = {
 }
 
 
-def six_step_ensemble_manifest(tmp_path):
+def ensemble_manifest(tmp_path, steps=6):
     config = write_config(
         tmp_path / "run.json",
-        steps=6,
+        steps=steps,
         schedule_mode={"mode": "disordered", "kind": "binary_0_pi", "seed": 3,
                        "realization_count": 2},
         outputs=["distributions"],
@@ -463,7 +463,7 @@ def six_step_ensemble_manifest(tmp_path):
 
 @pytest.mark.parametrize("tamper", list(TAMPERS))
 def test_replay_rejects_entries_that_miss_or_repeat_mesh_points(tmp_path, capsys, tamper):
-    manifest = six_step_ensemble_manifest(tmp_path)
+    manifest = ensemble_manifest(tmp_path)
     # the same manifest in the 0.2 form, which replay still reads
     manifest["schedules"] = [decode_phases(text).tolist() for text in manifest["schedules"]]
     assert len(manifest["schedules"][1]) == 21
@@ -484,25 +484,31 @@ def with_fourth_phase_bytes(value):
     return tamper
 
 
-# tamper -> how it edits realization 1's base64 schedule of a 6-step walk
-# (21 phases, 168 bytes, 224 characters with no padding).
+# tamper -> the run's steps, and how it edits realization 1's base64
+# schedule; a 6-step walk has 21 phases, 168 bytes, 224 characters with no
+# padding.  The last two are forms that b64decode(validate=True) accepts but
+# b64encode never writes: pi is GC1EVPshCUA=, and a 2-step walk's 24 bytes
+# need no padding.
 BASE64_TAMPERS = {
-    "non-alphabet": lambda text: text[:10] + "!" + text[11:],
-    "bad-padding": lambda text: text[:6] + "==" + text[8:],
-    "8-bytes-missing": lambda text: encode_phases(decode_phases(text)[:-1]),
-    "8-bytes-extra": lambda text: encode_phases(np.append(decode_phases(text), 0.0)),
-    "nan": with_fourth_phase_bytes(float("nan")),
-    "infinity": with_fourth_phase_bytes(float("inf")),
-    "non-ascii": lambda text: text[:10] + "\u03c0" + text[11:],
-    "number": lambda text: 5,
+    "non-alphabet": (6, lambda text: text[:10] + "!" + text[11:]),
+    "bad-padding": (6, lambda text: text[:6] + "==" + text[8:]),
+    "8-bytes-missing": (6, lambda text: encode_phases(decode_phases(text)[:-1])),
+    "8-bytes-extra": (6, lambda text: encode_phases(np.append(decode_phases(text), 0.0))),
+    "nan": (6, with_fourth_phase_bytes(float("nan"))),
+    "infinity": (6, with_fourth_phase_bytes(float("inf"))),
+    "non-ascii": (6, lambda text: text[:10] + "\u03c0" + text[11:]),
+    "number": (6, lambda text: 5),
+    "unused-bits-set": (1, lambda text: "GC1EVPshCUB="),
+    "padding-after-a-full-group": (2, lambda text: text + "="),
 }
 
 
 @pytest.mark.parametrize("tamper", list(BASE64_TAMPERS))
 def test_replay_rejects_bad_base64_schedules(tmp_path, capsys, tamper):
-    manifest = six_step_ensemble_manifest(tmp_path)
-    assert len(manifest["schedules"][1]) == 224
-    manifest["schedules"][1] = BASE64_TAMPERS[tamper](manifest["schedules"][1])
+    steps, edit = BASE64_TAMPERS[tamper]
+    manifest = ensemble_manifest(tmp_path, steps)
+    assert decode_phases(manifest["schedules"][1]).size == steps * (steps + 1) // 2
+    manifest["schedules"][1] = edit(manifest["schedules"][1])
     capsys.readouterr()
     assert replay_document(tmp_path, manifest) == 1
     err = capsys.readouterr().err
@@ -607,8 +613,15 @@ NESTED_TOO_DEEPLY = b"[" * 100000
 # 5001 digits, past the 4300 that int() converts; json.dumps cannot write it.
 INTEGER_TOO_LONG = b"1" + b"0" * 5000
 
+# Contents that leave no readable file: nothing at that name, or a directory.
+MISSING, DIRECTORY = object(), object()
+
 # command, then the files to write; the first file is the one passed to main.
 MALFORMED_INPUTS = {
+    "config-missing": ("run", {"run.json": MISSING}),
+    "config-a-directory": ("run", {"run.json": DIRECTORY}),
+    "config-not-json": ("run", {"run.json": b"{not json"}),
+    "reference-missing": ("run", {"run.json": COMPARED, "ref.json": MISSING}),
     "config-not-utf8": ("run", {"run.json": NOT_UTF8}),
     "reference-not-utf8": ("run", {"run.json": COMPARED, "ref.json": NOT_UTF8}),
     "nul-in-output_dir": ("run", {"run.json": dict(STEP_1, output_dir="out\0x")}),
@@ -627,6 +640,8 @@ MALFORMED_INPUTS = {
     "reference-nested-too-deeply": (
         "run", {"run.json": COMPARED, "ref.json": NESTED_TOO_DEEPLY}
     ),
+    "manifest-missing": ("replay", {"manifest.json": MISSING}),
+    "manifest-a-directory": ("replay", {"manifest.json": DIRECTORY}),
     "manifest-not-utf8": ("replay", {"manifest.json": NOT_UTF8}),
     "manifest-nested-too-deeply": ("replay", {"manifest.json": NESTED_TOO_DEEPLY}),
     "manifest-integer-too-long": (
@@ -669,9 +684,12 @@ def test_malformed_input_exits_one_without_a_traceback(tmp_path, monkeypatch, ca
     monkeypatch.chdir(tmp_path)
     command, files = MALFORMED_INPUTS[case]
     for name, content in files.items():
-        (tmp_path / name).write_bytes(
-            content if isinstance(content, bytes) else json.dumps(content).encode()
-        )
+        if content is DIRECTORY:
+            (tmp_path / name).mkdir()
+        elif content is not MISSING:
+            (tmp_path / name).write_bytes(
+                content if isinstance(content, bytes) else json.dumps(content).encode()
+            )
     assert main([command, next(iter(files))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("beamwalk: config error:")

@@ -7,10 +7,11 @@ import pytest
 
 from beamwalk import ConfigError
 from beamwalk.config import RunConfig, config_echo, load_config, parse_config
+from beamwalk.runner import replay
 
 
 def test_minimal_config_gets_the_defaults():
-    config = parse_config('{"steps": 7, "reflectivity": 0.5}')
+    config = parse_config(json.loads('{"steps": 7, "reflectivity": 0.5}'))
     assert config.steps == 7
     assert config.reflectivity == 0.5
     assert config.disorder is None
@@ -23,18 +24,16 @@ def test_minimal_config_gets_the_defaults():
 
 def test_disordered_config_parses_the_disorder_settings():
     config = parse_config(
-        json.dumps(
-            {
-                "steps": 7,
-                "reflectivity": 0.44,
-                "schedule_mode": {
-                    "mode": "disordered",
-                    "kind": "binary_0_pi",
-                    "seed": 42,
-                    "realization_count": 100,
-                },
-            }
-        )
+        {
+            "steps": 7,
+            "reflectivity": 0.44,
+            "schedule_mode": {
+                "mode": "disordered",
+                "kind": "binary_0_pi",
+                "seed": 42,
+                "realization_count": 100,
+            },
+        }
     )
     assert config.disorder is not None
     assert config.disorder.seed == 42
@@ -42,21 +41,19 @@ def test_disordered_config_parses_the_disorder_settings():
 
 
 def test_ordered_theta_is_read():
-    config = parse_config(
+    config = parse_config(json.loads(
         '{"steps": 3, "reflectivity": 0.5, "schedule_mode": {"mode": "ordered", "theta": 0.3}}'
-    )
+    ))
     assert config.theta == 0.3
 
 
 def test_outputs_accept_names_and_similarity_objects():
     config = parse_config(
-        json.dumps(
-            {
-                "steps": 3,
-                "reflectivity": 0.5,
-                "outputs": ["variances", {"similarity_vs": "ref.json"}, "layout"],
-            }
-        )
+        {
+            "steps": 3,
+            "reflectivity": 0.5,
+            "outputs": ["variances", {"similarity_vs": "ref.json"}, "layout"],
+        }
     )
     assert config.outputs == ("variances", "layout")
     assert config.similarity_vs == "ref.json"
@@ -66,20 +63,20 @@ def test_a_second_similarity_object_names_its_position():
     document = {"steps": 3, "reflectivity": 0.5,
                 "outputs": [{"similarity_vs": "a.json"}, {"similarity_vs": "b.json"}]}
     with pytest.raises(ConfigError, match=r"outputs\[1\]: at most one similarity_vs"):
-        parse_config(json.dumps(document))
+        parse_config(document)
 
 
 def test_oracle_check_above_the_enumeration_guard_fails_to_parse():
     document = {"steps": 21, "reflectivity": 0.5, "outputs": ["oracle_check"]}
     with pytest.raises(ConfigError, match=r"outputs: oracle_check .* steps <= 20, got 21"):
-        parse_config(json.dumps(document))
-    assert parse_config(json.dumps(dict(document, steps=20))).steps == 20
+        parse_config(document)
+    assert parse_config(dict(document, steps=20)).steps == 20
 
 
 def test_settings_that_change_no_output_are_checked_but_not_kept():
-    plain = parse_config('{"steps": 3, "reflectivity": 0.5}')
-    older = parse_config('{"steps": 3, "reflectivity": 0.5,'
-                         ' "initial": {"coin": 1, "site": 0}, "loss_eta": 0.8}')
+    plain = parse_config(json.loads('{"steps": 3, "reflectivity": 0.5}'))
+    older = parse_config(json.loads('{"steps": 3, "reflectivity": 0.5,'
+                                    ' "initial": {"coin": 1, "site": 0}, "loss_eta": 0.8}'))
     assert older == plain
     echo = config_echo(older)
     assert "loss_eta" not in echo
@@ -88,32 +85,41 @@ def test_settings_that_change_no_output_are_checked_but_not_kept():
 
 def test_out_of_range_reflectivity_names_the_field():
     with pytest.raises(ConfigError, match="reflectivity"):
-        parse_config('{"steps": 3, "reflectivity": 1.2}')
+        parse_config(json.loads('{"steps": 3, "reflectivity": 1.2}'))
 
 
 def test_missing_required_fields_are_reported():
     with pytest.raises(ConfigError, match="steps"):
-        parse_config('{"reflectivity": 0.5}')
+        parse_config(json.loads('{"reflectivity": 0.5}'))
     with pytest.raises(ConfigError, match="reflectivity"):
-        parse_config('{"steps": 3}')
+        parse_config(json.loads('{"steps": 3}'))
 
 
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigError, match="reflectivty"):
-        parse_config('{"steps": 3, "reflectivity": 0.5, "reflectivty": 1}')
+        parse_config(json.loads('{"steps": 3, "reflectivity": 0.5, "reflectivty": 1}'))
 
 
 def test_unknown_nested_key_rejected():
     with pytest.raises(ConfigError, match="schedule_mode"):
-        parse_config(
+        parse_config(json.loads(
             '{"steps": 3, "reflectivity": 0.5,'
             ' "schedule_mode": {"mode": "ordered", "thetas": 1}}'
-        )
+        ))
 
 
-def test_invalid_json_reports_the_position():
-    with pytest.raises(ConfigError, match="line 2"):
-        parse_config('{"steps": 3,\n "reflectivity": }')
+def test_invalid_json_reports_the_position(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('{"steps": 3,\n "reflectivity": }')
+    with pytest.raises(ConfigError, match="line 2, column"):
+        load_config(path)
+
+
+def test_invalid_manifest_json_reports_the_position(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"config": {"steps": 3,\n "reflectivity": }}')
+    with pytest.raises(ConfigError, match="line 2, column"):
+        replay(path)
 
 
 @pytest.mark.parametrize(
@@ -147,7 +153,7 @@ def test_invalid_json_reports_the_position():
 )
 def test_field_errors_name_the_field(document, field):
     with pytest.raises(ConfigError, match=field):
-        parse_config(document)
+        parse_config(json.loads(document))
 
 
 def test_steps_stop_at_the_largest_phase_array_numpy_can_make():
@@ -182,18 +188,16 @@ def test_load_config_reports_missing_files(tmp_path):
 
 def test_echo_round_trips_through_the_parser():
     config = parse_config(
-        json.dumps(
-            {
-                "steps": 5,
-                "reflectivity": 0.46,
-                "schedule_mode": {"mode": "disordered", "seed": 7, "realization_count": 3},
-                "initial": {"coin": 0},
-                "loss_eta": 0.9,
-                "outputs": ["distributions", {"similarity_vs": "other.json"}],
-                "output_dir": "results",
-                "normalize_to_step_max": True,
-            }
-        )
+        {
+            "steps": 5,
+            "reflectivity": 0.46,
+            "schedule_mode": {"mode": "disordered", "seed": 7, "realization_count": 3},
+            "initial": {"coin": 0},
+            "loss_eta": 0.9,
+            "outputs": ["distributions", {"similarity_vs": "other.json"}],
+            "output_dir": "results",
+            "normalize_to_step_max": True,
+        }
     )
     assert parse_config(config_echo(config)) == config
 

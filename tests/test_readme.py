@@ -1,5 +1,6 @@
 """The README's library tour and full config must work with the current package."""
 
+import json
 import re
 from pathlib import Path
 
@@ -18,5 +19,5 @@ def test_quick_library_tour_runs(capsys):
 def test_full_form_config_parses():
     section = README.read_text(encoding="utf-8").split("Full form", 1)[1]
     block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
-    config = parse_config(block, source="README.md")
+    config = parse_config(json.loads(block), source="README.md")
     assert parse_config(config_echo(config)) == config
