@@ -10,7 +10,7 @@ __version__ = "0.3.0"
 
 from .apparatus import ModeLocus, displacer_passages, mode_locus, reachable_sites
 from .errors import CapacityError, ConfigError, NumericalInvariantError, ScheduleError
-from .evolution import apply_coin_layer, apply_shift, coin_field, evolve, step
+from .evolution import apply_coin_layer, apply_shift, coin_field, evolve
 from .measure import (
     Distribution,
     DistributionSeries,
@@ -68,7 +68,6 @@ __all__ = [
     "reachable_sites",
     "series_from_trajectory",
     "similarity",
-    "step",
     "variance",
     "variance_series",
 ]

@@ -55,6 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _complain(code: int, message: str) -> int:
+    # One stderr line per failure, even when a quoted path holds a line break.
+    print("beamwalk: " + message.replace("\n", "\\n").replace("\r", "\\r"), file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -70,18 +76,14 @@ def main(argv: list[str] | None = None) -> int:
             manifest = replay(as_path(args.manifest, "command line", "manifest"),
                               output_dir=output_dir)
     except ConfigError as exc:
-        print(f"beamwalk: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _complain(EXIT_CONFIG, f"config error: {exc}")
     except MemoryError as exc:
-        print(f"beamwalk: config error: run does not fit in memory: "
-              f"{str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _complain(EXIT_CONFIG, "config error: run does not fit in memory: "
+                         f"{str(exc) or type(exc).__name__}")
     except NumericalInvariantError as exc:
-        print(f"beamwalk: numerical invariant violated: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _complain(EXIT_NUMERICAL, f"numerical invariant violated: {exc}")
     except OSError as exc:
-        print(f"beamwalk: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _complain(EXIT_IO, f"i/o error: {exc}")
     try:
         print(manifest)
     except UnicodeEncodeError:  # a path byte the stream cannot encode: escape it

@@ -6,7 +6,7 @@ class ScheduleError(ValueError):
 
 
 class CapacityError(ValueError):
-    """An operation would leave the allocated lattice or enumeration range."""
+    """A path-sum enumeration would exceed its step guard."""
 
 
 class ConfigError(ValueError):

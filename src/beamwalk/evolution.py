@@ -27,11 +27,11 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, ScheduleError
+from .errors import ScheduleError
 from .schedules import PhaseSchedule
 from .state import WalkerState
 
-__all__ = ["apply_coin_layer", "apply_shift", "step", "coin_field", "evolve"]
+__all__ = ["apply_coin_layer", "apply_shift", "coin_field", "evolve"]
 
 
 def apply_coin_layer(state: WalkerState, coins: np.ndarray) -> WalkerState:
@@ -50,28 +50,20 @@ def apply_coin_layer(state: WalkerState, coins: np.ndarray) -> WalkerState:
     mixed = np.empty_like(state.amplitudes)
     mixed[0] = coins[:, 0, 0] * a0 + coins[:, 0, 1] * a1
     mixed[1] = coins[:, 1, 0] * a0 + coins[:, 1, 1] * a1
-    return WalkerState(mixed, state.step_index, state.num_steps)
+    return WalkerState._owning(mixed, state.step_index, state.num_steps)
 
 
 def apply_shift(state: WalkerState) -> WalkerState:
     """Conditional shift: (coin 0, i) -> (coin 1, i-1), (coin 1, i) -> (coin 0, i+1).
 
-    Increments the step index.  Applying it twice restores the coin
-    label, so the inversion is an involution.
+    Increments the step index, so a state at its lattice's end is refused.
+    Applying it twice restores the coin label: the inversion is an involution.
     """
-    if state.step_index >= state.num_steps:
-        raise CapacityError(f"cannot shift beyond the allocated lattice: step index "
-                            f"{state.step_index} of a {state.num_steps}-step walk")
     amps = state.amplitudes
     new = np.zeros((2, amps.shape[1] + 1), dtype=np.complex128)
     new[1, :-1] = amps[0]
     new[0, 1:] = amps[1]
     return WalkerState._owning(new, state.step_index + 1, state.num_steps)
-
-
-def step(state: WalkerState, coins: np.ndarray) -> WalkerState:
-    """One walk step: coin layer, then conditional shift."""
-    return apply_shift(apply_coin_layer(state, coins))
 
 
 def coin_field(
@@ -125,10 +117,9 @@ def evolve(
     trajectory = [initial]
     state = initial
     for k in range(initial.step_index + 1, schedule.num_steps + 1):
-        # Two statements, not ``step``: the coin stack is freed before the
-        # shift allocates the next state, so the heap reuses that block
-        # instead of growing around it.
-        mixed = apply_coin_layer(state, coin_field(schedule, reflectivity, k, phase_gauge))
-        state = apply_shift(mixed)
+        # One step, nested so that the coin stack is freed before the shift
+        # allocates and the coin-mixed state as soon as the shift returns.
+        state = apply_shift(apply_coin_layer(
+            state, coin_field(schedule, reflectivity, k, phase_gauge)))
         trajectory.append(state)
     return trajectory

@@ -18,7 +18,7 @@ class WalkerState:
     ``amplitudes`` has shape ``(2, step_index + 1)``: ``amplitudes[c, j]``
     is the coin-c amplitude at site ``-step_index + 2j``.  Only reachable
     sites are stored, so the light cone holds by construction; every other
-    site of the walk's lattice [-num_steps, num_steps] has amplitude 0.
+    site has amplitude 0.  ``step_index`` may not pass ``num_steps``.
     """
 
     amplitudes: np.ndarray
@@ -57,8 +57,6 @@ class WalkerState:
         """Amplitude of the (coin, site) mode; 0 off the light cone."""
         if coin not in (0, 1):
             raise ValueError(f"coin must be 0 or 1, got {coin}")
-        if abs(site) > self.num_steps:
-            raise ValueError(f"site {site} is outside the lattice")
         if abs(site) > self.step_index or (site + self.step_index) % 2:
             return 0j
         return complex(self.amplitudes[coin, (site + self.step_index) // 2])

@@ -619,6 +619,7 @@ MISSING, DIRECTORY = object(), object()
 # command, then the files to write; the first file is the one passed to main.
 MALFORMED_INPUTS = {
     "config-missing": ("run", {"run.json": MISSING}),
+    "config-missing-line-break-in-name": ("run", {"a\nb.json": MISSING}),
     "config-a-directory": ("run", {"run.json": DIRECTORY}),
     "config-not-json": ("run", {"run.json": b"{not json"}),
     "reference-missing": ("run", {"run.json": COMPARED, "ref.json": MISSING}),
@@ -641,6 +642,8 @@ MALFORMED_INPUTS = {
         "run", {"run.json": COMPARED, "ref.json": NESTED_TOO_DEEPLY}
     ),
     "manifest-missing": ("replay", {"manifest.json": MISSING}),
+    "manifest-missing-line-break-in-name": ("replay", {"m\nx.json": MISSING}),
+    "manifest-missing-carriage-return-in-name": ("replay", {"m\rx.json": MISSING}),
     "manifest-a-directory": ("replay", {"manifest.json": DIRECTORY}),
     "manifest-not-utf8": ("replay", {"manifest.json": NOT_UTF8}),
     "manifest-nested-too-deeply": ("replay", {"manifest.json": NESTED_TOO_DEEPLY}),
@@ -696,6 +699,12 @@ def test_malformed_input_exits_one_without_a_traceback(tmp_path, monkeypatch, ca
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_line_break_in_a_path_is_escaped_in_the_message(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "a\nb.json"]) == 1
+    assert capsys.readouterr().err.startswith("beamwalk: config error: a\\nb.json: cannot read:")
 
 
 # A NUL cannot reach argv from a shell, but a Python caller can pass one.

@@ -146,6 +146,17 @@ def test_invalid_manifest_json_reports_the_position(tmp_path):
             ' "schedule_mode": {"mode": "disordered", "seed": 1, "kind": "gauss"}}',
             "schedule_mode.kind",
         ),
+        (
+            '{"steps": 3, "reflectivity": 0.5,'
+            ' "schedule_mode": {"mode": "disordered", "seed": -1}}',
+            "schedule_mode",
+        ),
+        (
+            '{"steps": 3, "reflectivity": 0.5,'
+            ' "schedule_mode": {"mode": "disordered", "seed": 1, "realization_count": 0}}',
+            "schedule_mode",
+        ),
+        ('{"steps": 3, "reflectivity": 0.5, "outputs": [5]}', r"outputs\[0\]"),
         ('{"steps": 3, "reflectivity": 0.5, "normalize_to_step_max": 1}', "normalize"),
         ('{"steps": 3, "reflectivity": 0.5, "output_dir": ""}', "output_dir"),
         ('{"steps": true, "reflectivity": 0.5}', "steps"),

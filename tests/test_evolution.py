@@ -6,7 +6,6 @@ import pytest
 
 from beamwalk import (
     UNIFORM_0_2PI,
-    CapacityError,
     DisorderSpec,
     ScheduleError,
     WalkerState,
@@ -19,7 +18,6 @@ from beamwalk import (
     initial_state,
     ordered_schedule,
     position_distribution,
-    step,
 )
 from beamwalk import evolution
 from beamwalk.apparatus import reachable_sites
@@ -59,9 +57,9 @@ def test_double_shift_restores_the_coin_label():
     assert twice.amplitude(0, 1) == 1.0
 
 
-def test_shift_at_full_lattice_is_a_capacity_error():
+def test_shift_past_the_lattice_is_refused():
     state = apply_shift(delta_state(1, coin=1))
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValueError, match="step_index"):
         apply_shift(state)
 
 
@@ -119,7 +117,7 @@ def test_coin_layer_equals_the_per_site_matmul_bit_for_bit(step_index):
 
 
 def test_single_step_pinned_amplitudes():
-    after = step(initial_state(1), BALANCED[None])
+    after = apply_shift(apply_coin_layer(initial_state(1), BALANCED[None]))
     assert after.amplitude(1, -1) == pytest.approx(INV_SQRT2)
     assert after.amplitude(0, 1) == pytest.approx(1j * INV_SQRT2)
     dist = position_distribution(after)
@@ -134,18 +132,19 @@ def test_two_steps_interfere_to_half_at_origin():
 
 
 def test_full_mirror_ping_pongs_with_phase_i():
-    after = step(delta_state(1, coin=0), single_coin(1.0)[None])
+    after = apply_shift(apply_coin_layer(delta_state(1, coin=0), single_coin(1.0)[None]))
     assert after.amplitude(1, -1) == pytest.approx(1j)
     np.testing.assert_allclose(position_distribution(after).probs, [1.0, 0.0], atol=1e-12)
 
 
 def test_step_equals_coin_then_shift():
+    # the step evolve takes is the coin layer of that step, then the shift
     rng = np.random.default_rng(11)
     state = random_walker_state(6, 2, rng)
-    field = random_coin_field(reachable_sites(2), 0.44, rng)
-    composed = apply_shift(apply_coin_layer(state, field))
-    direct = step(state, field)
-    np.testing.assert_allclose(direct.amplitudes, composed.amplitudes, atol=0)
+    schedule = disordered_schedule(3, DisorderSpec(UNIFORM_0_2PI, 11, 1), 0)
+    composed = apply_shift(apply_coin_layer(state, coin_field(schedule, 0.44, 3)))
+    direct = evolve(state, schedule, 0.44)[-1]
+    assert direct.amplitudes.tobytes() == composed.amplitudes.tobytes()
 
 
 def test_step_is_linear():
@@ -155,8 +154,9 @@ def test_step_is_linear():
     field = random_coin_field(reachable_sites(2), 0.5, rng)
     a, b = 0.6 - 0.1j, -0.3 + 0.8j
     mixed = WalkerState(a * first.amplitudes + b * second.amplitudes, 2, 5)
-    left = step(mixed, field).amplitudes
-    right = a * step(first, field).amplitudes + b * step(second, field).amplitudes
+    left = apply_shift(apply_coin_layer(mixed, field)).amplitudes
+    right = (a * apply_shift(apply_coin_layer(first, field)).amplitudes
+             + b * apply_shift(apply_coin_layer(second, field)).amplitudes)
     np.testing.assert_allclose(left, right, atol=1e-12)
 
 

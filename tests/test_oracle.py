@@ -137,6 +137,17 @@ def test_enumeration_guard_rejects_large_walks():
         enumerate_paths(0, schedule, 0.5)
 
 
+@pytest.mark.parametrize("oracle", [oracle_state, enumerate_paths])
+@pytest.mark.parametrize("coin,reflectivity,field", [
+    (2, 0.5, "initial_coin"),
+    (1, 1.5, "reflectivity"),
+    (1, float("nan"), "reflectivity"),
+], ids=["coin-2", "R-1.5", "R-nan"])
+def test_the_oracle_refuses_a_bad_coin_or_reflectivity(oracle, coin, reflectivity, field):
+    with pytest.raises(ValueError, match=field):
+        oracle(coin, ordered_schedule(2, 0.0), reflectivity)
+
+
 def test_labels_distinguish_reflection_from_transmission():
     # R=1 reflects everything: from coin 0 the surviving path is all-REFLECT
     records = enumerate_paths(0, ordered_schedule(3, 0.0), 1.0)

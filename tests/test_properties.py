@@ -22,7 +22,6 @@ from beamwalk import (
     ordered_schedule,
     position_distribution,
     similarity,
-    step,
     variance,
 )
 from beamwalk.config import parse_config
@@ -107,8 +106,9 @@ def test_step_is_linear_in_the_state(seed, scale):
     second = random_walker_state(5, 2, rng)
     field = random_coin_field(range(-2, 3, 2), 0.44, rng)
     mixed = WalkerState(first.amplitudes + scale * second.amplitudes, 2, 5)
-    left = step(mixed, field).amplitudes
-    right = step(first, field).amplitudes + scale * step(second, field).amplitudes
+    left = apply_shift(apply_coin_layer(mixed, field)).amplitudes
+    right = (apply_shift(apply_coin_layer(first, field)).amplitudes
+             + scale * apply_shift(apply_coin_layer(second, field)).amplitudes)
     assert np.max(np.abs(left - right)) < 1e-12
 
 
