@@ -1,14 +1,15 @@
 """Brute-force path-sum cross-check for the matrix evolution.
 
 An N-step walk branches once per splitter, so there are exactly 2^N
-branch histories.  This module enumerates all of them as the integers
-0..2^N-1, one bit per splitter, multiplies the splitter matrix element
-picked at each mesh point, and coherently sums the results.  The products
-are spelled out in float64 and summed in history order, so the result is
-bit-identical to a scalar recursion over the same histories.  It
-deliberately shares no evolution code with ``evolution.py`` (splitter
-entries are recomputed here from the optical parameters) so the two
-implementations can validate each other.
+branch histories.  This module forms them as a prefix expansion: each
+history of the first k-1 splitters branches into port 0 and port 1 at
+splitter k, so shared prefixes share their products and N steps take about
+2^(N+1) complex products, not N*2^N.  Every history keeps its own float64
+product, in splitter order, and the coherent sum adds them in history
+order, so the result is bit-identical to a scalar recursion over the same
+histories.  It deliberately shares no evolution code with ``evolution.py``
+(splitter entries are recomputed here from the optical parameters) so the
+two implementations can validate each other.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def _entry(reflectivity: float, theta: float, out_port: int, in_port: int) -> co
 def _path_sum(initial_coin: int, schedule: PhaseSchedule, reflectivity: float,
               reflected: list[np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
     """Every history's amplitude (re, im), final coin and final column.
-    History p leaves splitter k by out-port (p >> (num_steps - k)) & 1, most
-    significant bit first, so port 0 precedes port 1 at every splitter.
+    Step k branches each prefix into port 0, then port 1, so history p
+    leaves splitter k by out-port (p >> (num_steps - k)) & 1, high bit first.
     ``reflected``, if given, gets one mask per step: which histories reflect."""
     if initial_coin not in (0, 1):
         raise ValueError(f"initial_coin must be 0 or 1, got {initial_coin}")
@@ -73,20 +74,21 @@ def _path_sum(initial_coin: int, schedule: PhaseSchedule, reflectivity: float,
     table = [np.array([[[_entry(reflectivity, theta, out, inp) for inp in (0, 1)]
                         for out in (0, 1)] for theta in schedule.row(k).tolist()])
              for k in range(1, num_steps + 1)]
-    paths = np.arange(2**num_steps)
-    coin, column = np.full(paths.size, initial_coin), np.zeros(paths.size, dtype=np.intp)
-    re, im = np.ones(paths.size), np.zeros(paths.size)
+    ports = np.array([0, 1])
+    coin, column = np.array([initial_coin]), np.zeros(1, dtype=np.intp)
+    re, im = np.ones(1), np.zeros(1)
     for k, entries in enumerate(table, start=1):
-        out = (paths >> (num_steps - k)) & 1
+        # (prefix, port) arrays; C-order ravel keeps the children in history order.
+        entry = entries[column[:, None], ports, coin[:, None]]
         if reflected is not None:
-            reflected.append(out == coin)
-        entry = entries[column, out, coin]
+            reflected.append(np.repeat(ports == coin[:, None], 2 ** (num_steps - k)))
         # Python's complex product, term by term, so every bit matches.
-        re, im = re * entry.real - im * entry.imag, re * entry.imag + im * entry.real
+        re, im = ((re[:, None] * entry.real - im[:, None] * entry.imag).ravel(),
+                  (re[:, None] * entry.imag + im[:, None] * entry.real).ravel())
         # Port 0 exits one site down, port 1 one site up; the next splitter
         # sees the inverted coin label.
-        coin = 1 - out
-        column += out
+        coin = np.tile(1 - ports, column.size)
+        column = (column[:, None] + ports).ravel()
     return re, im, coin, column
 
 

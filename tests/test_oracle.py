@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beamwalk.oracle
 from beamwalk import (
@@ -204,6 +206,71 @@ def test_array_path_sum_is_bit_identical_to_the_scalar_recursion(kind, reflectiv
         schedule = ordered_schedule(9, 0.3)
     else:
         schedule = disordered_schedule(9, DisorderSpec(kind, 5, 1), 0)
+    summed = oracle_state(initial_coin, schedule, reflectivity)
+    expected = scalar_path_sum(initial_coin, schedule, reflectivity)
+    assert summed.amplitudes.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("initial_coin", [0, 1])
+@pytest.mark.parametrize("reflectivity", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("num_steps", [1, 2, 13])
+def test_prefix_expansion_is_bit_identical_from_one_step_up(num_steps, reflectivity,
+                                                             initial_coin):
+    # The shortest walks expand from the single empty prefix; 13 steps leave
+    # 2^13 histories, more than the 9-step test's 512.
+    schedule = disordered_schedule(num_steps, DisorderSpec(UNIFORM_0_2PI, 8, 1), 0)
+    summed = oracle_state(initial_coin, schedule, reflectivity)
+    expected = scalar_path_sum(initial_coin, schedule, reflectivity)
+    assert summed.amplitudes.tobytes() == expected.tobytes()
+
+
+def scalar_leaves(initial_coin, schedule, reflectivity):
+    """The scalar recursion's leaves, port 0 before port 1 at every splitter:
+    (choices, final coin, final site, amplitude)."""
+    num_steps = schedule.num_steps
+    leaves = []
+
+    def descend(step_number, coin, column, amplitude, choices):
+        if step_number > num_steps:
+            leaves.append((choices, coin, 2 * column - num_steps, amplitude))
+            return
+        theta = schedule.row(step_number).tolist()[column]
+        for out_port in (0, 1):
+            label = REFLECT if out_port == coin else TRANSMIT
+            descend(step_number + 1, 1 - out_port, column + out_port,
+                    amplitude * _entry(reflectivity, theta, out_port, coin),
+                    choices + (label,))
+
+    descend(1, initial_coin, 0, 1.0 + 0.0j, ())
+    return leaves
+
+
+def amplitude_bits(amplitude):
+    return amplitude.real.hex(), amplitude.imag.hex()
+
+
+@pytest.mark.parametrize("initial_coin", [0, 1])
+def test_records_are_the_scalar_recursions_leaves_in_order(initial_coin):
+    schedule = disordered_schedule(8, DisorderSpec(UNIFORM_0_2PI, 13, 1), 0)
+    records = enumerate_paths(initial_coin, schedule, 0.3)
+    leaves = scalar_leaves(initial_coin, schedule, 0.3)
+    assert len(records) == len(leaves) == 2**8
+    assert [(r.choices, r.final_coin, r.final_site, amplitude_bits(r.amplitude))
+            for r in records] == [(choices, coin, site, amplitude_bits(amplitude))
+                                  for choices, coin, site, amplitude in leaves]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    num_steps=st.integers(min_value=1, max_value=10),
+    reflectivity=st.one_of(st.sampled_from([0.0, 1.0]),
+                           st.floats(min_value=0.0, max_value=1.0)),
+    initial_coin=st.sampled_from([0, 1]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_path_sum_bytes_equal_the_scalar_recursion(num_steps, reflectivity, initial_coin,
+                                                   seed):
+    schedule = disordered_schedule(num_steps, DisorderSpec(UNIFORM_0_2PI, seed, 1), 0)
     summed = oracle_state(initial_coin, schedule, reflectivity)
     expected = scalar_path_sum(initial_coin, schedule, reflectivity)
     assert summed.amplitudes.tobytes() == expected.tobytes()
