@@ -66,6 +66,36 @@ def apply_shift(state: WalkerState) -> WalkerState:
     return WalkerState._owning(new, state.step_index + 1, state.num_steps)
 
 
+# Mesh points whose coins ``evolve`` forms in one call: 1024 complex 2x2
+# matrices are 64 KiB, under glibc's 128 KiB mmap threshold, so a block is
+# reused heap memory rather than a fresh mapping.  A step with more sites
+# than this is a block of its own.
+_BLOCK_POINTS = 1024
+
+
+def _check_settings(reflectivity: float, phase_gauge: float) -> None:
+    if not 0.0 <= reflectivity <= 1.0:
+        raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
+    if not math.isfinite(phase_gauge):
+        raise ValueError("phase settings must be finite")
+
+
+def _splitters(thetas: np.ndarray, reflectivity: float, phase_gauge: float) -> np.ndarray:
+    """The splitter of each schedule phase in ``thetas``, stacked
+    ``(thetas.size, 2, 2)``.  Each matrix depends on its own phase alone, so
+    the stack of several steps' phases is their ``coin_field`` stacks end
+    to end."""
+    r, t = math.sqrt(reflectivity), math.sqrt(1.0 - reflectivity)
+    half_pi = math.pi / 2
+    theta0 = thetas + phase_gauge
+    coins = np.empty((theta0.size, 2, 2), dtype=np.complex128)
+    coins[:, 0, 0] = r * np.exp(1j * (theta0 + half_pi))
+    coins[:, 0, 1] = t * np.exp(1j * theta0)
+    coins[:, 1, 0] = t * cmath.exp(1j * phase_gauge)
+    coins[:, 1, 1] = r * cmath.exp(1j * (phase_gauge + half_pi))
+    return coins
+
+
 def coin_field(
     schedule: PhaseSchedule,
     reflectivity: float,
@@ -80,19 +110,8 @@ def coin_field(
     gauge shifts both plates, which no distribution can observe.  An R
     outside [0, 1] (NaN included) or a non-finite gauge is a ``ValueError``.
     """
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
-    if not math.isfinite(phase_gauge):
-        raise ValueError("phase settings must be finite")
-    r, t = math.sqrt(reflectivity), math.sqrt(1.0 - reflectivity)
-    half_pi = math.pi / 2
-    theta0 = schedule.row(step_number) + phase_gauge
-    coins = np.empty((theta0.size, 2, 2), dtype=np.complex128)
-    coins[:, 0, 0] = r * np.exp(1j * (theta0 + half_pi))
-    coins[:, 0, 1] = t * np.exp(1j * theta0)
-    coins[:, 1, 0] = t * cmath.exp(1j * phase_gauge)
-    coins[:, 1, 1] = r * cmath.exp(1j * (phase_gauge + half_pi))
-    return coins
+    _check_settings(reflectivity, phase_gauge)
+    return _splitters(schedule.row(step_number), reflectivity, phase_gauge)
 
 
 def evolve(
@@ -109,17 +128,36 @@ def evolve(
     row.  Phases are packed step by step, so the first k steps of a walk
     are the walk of ``PhaseSchedule(k, schedule.phases[:k * (k + 1) // 2])``;
     a lattice longer than the schedule is fine, and one shorter than it
-    is a ``ScheduleError`` before any step is taken.
+    is a ``ScheduleError`` before any step is taken.  ``coin_field``'s
+    ``ValueError``s for R and the gauge are raised even when no step is
+    left.  Each step's coins are ``coin_field``'s stack bit for bit, formed
+    for a block of steps at a time.
     """
     if not initial.step_index <= schedule.num_steps <= initial.num_steps:
         raise ScheduleError(f"schedule covers {schedule.num_steps} steps, but the state is at "
                             f"step {initial.step_index} of a {initial.num_steps}-step lattice")
+    _check_settings(reflectivity, phase_gauge)
     trajectory = [initial]
     state = initial
-    for k in range(initial.step_index + 1, schedule.num_steps + 1):
-        # One step, nested so that the coin stack is freed before the shift
-        # allocates and the coin-mixed state as soon as the shift returns.
-        state = apply_shift(apply_coin_layer(
-            state, coin_field(schedule, reflectivity, k, phase_gauge)))
-        trajectory.append(state)
+    done = initial.step_index
+    while done < schedule.num_steps:
+        # The next block: steps done+1..stop, as many as fit in
+        # _BLOCK_POINTS mesh points, and at least one.
+        base = done * (done + 1) // 2
+        fit = (math.isqrt(8 * (base + _BLOCK_POINTS) + 1) - 1) // 2
+        stop = min(schedule.num_steps, max(done + 1, fit))
+        block = _splitters(schedule.phases[base:stop * (stop + 1) // 2],
+                           reflectivity, phase_gauge)
+        # Step k's coin_field stack, popped in step order: the block's last
+        # step pops its only reference, so the block is freed before that
+        # step's shift allocates.
+        stacks = [block[k * (k - 1) // 2 - base:k * (k + 1) // 2 - base]
+                  for k in range(stop, done, -1)]
+        del block
+        while stacks:
+            # One step, nested so that the coin-mixed state is freed as
+            # soon as the shift returns.
+            state = apply_shift(apply_coin_layer(state, stacks.pop()))
+            trajectory.append(state)
+        done = stop
     return trajectory

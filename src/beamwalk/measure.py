@@ -2,13 +2,17 @@
 
 Distributions are taken by tracing out the coin: the power detected at a
 site is the sum of its two coin-mode intensities, divided by the step's
-total so every row sums to 1.
+total so every row sums to 1.  A series measured here, or averaged by
+``ensemble_mean_series``, keeps all its rows in one packed float64 array,
+step after step, and each row is a read-only view of it.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,17 +52,59 @@ class Distribution:
                 f"step-{self.step} distribution needs {self.step + 1} entries, "
                 f"got shape {probs.shape}"
             )
-        # Written so that NaN fails both checks.
-        if not np.all(probs >= 0):
-            raise ValueError("probabilities must be nonnegative")
-        total = float(probs.sum())
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"probabilities must sum to 1 (got {total!r})")
+        _check_probabilities(probs, probs.sum(keepdims=True))
         object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def _owning(cls, step: int, probs: np.ndarray) -> Distribution:
+        """A distribution that keeps ``probs``, a read-only float64 row
+        its caller has checked as ``__post_init__`` would, without a copy."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "step", step)
+        object.__setattr__(dist, "probs", probs)
+        return dist
 
     @property
     def sites(self) -> np.ndarray:
         return reachable_sites(self.step)
+
+
+def _check_probabilities(probs: np.ndarray, totals: np.ndarray) -> None:
+    """Refuse a negative entry in ``probs`` or a row total in ``totals``
+    off 1; written so that NaN fails both checks."""
+    if not np.all(probs >= 0):
+        raise ValueError("probabilities must be nonnegative")
+    off = ~(np.abs(totals - 1.0) <= 1e-10)
+    if off.any():
+        raise ValueError(f"probabilities must sum to 1 (got {float(totals[off][0])!r})")
+
+
+def _packed_rows(steps: Sequence[int], packed: np.ndarray) -> tuple[Distribution, ...]:
+    """The rows of ``packed``, a new float64 array holding a step-s row of
+    s + 1 entries for each s in ``steps``, end to end.  All rows are checked
+    at once, as ``Distribution`` checks one, then handed out as read-only
+    views."""
+    bounds = list(accumulate((step + 1 for step in steps), initial=0))
+    _check_probabilities(packed, np.add.reduceat(packed, bounds[:-1]))
+    packed.flags.writeable = False
+    return tuple(Distribution._owning(step, packed[start:stop])
+                 for step, start, stop in zip(steps, bounds, bounds[1:]))
+
+
+def _measure(states: Sequence[WalkerState]) -> tuple[Distribution, ...]:
+    """Each state's distribution, one row of a packed array per state."""
+    steps = [state.step_index for state in states]
+    packed = np.empty(sum(steps) + len(steps))
+    stop = 0
+    for state in states:
+        start, stop = stop, stop + state.step_index + 1
+        powers = (np.abs(state.amplitudes) ** 2).sum(axis=0)
+        total = float(powers.sum())
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"the step-{state.step_index} state has total power {total!r}; "
+                             "its distribution needs a positive, finite one")
+        np.divide(powers, total, out=packed[start:stop])
+    return _packed_rows(steps, packed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +128,9 @@ class DistributionSeries:
 
 
 def position_distribution(state: WalkerState) -> Distribution:
-    """Trace out the coin: P[i] = |p0[i]|^2 + |p1[i]|^2, over the row sum."""
-    powers = (np.abs(state.amplitudes) ** 2).sum(axis=0)
-    return Distribution(state.step_index, powers / float(powers.sum()))
+    """Trace out the coin: P[i] = |p0[i]|^2 + |p1[i]|^2, over the row sum.
+    A state with no power, or infinite or NaN power, is a ``ValueError``."""
+    return _measure([state])[0]
 
 
 def variance(dist: Distribution) -> float:
@@ -134,24 +180,24 @@ def ensemble_mean_series(runs: Sequence[DistributionSeries]) -> DistributionSeri
     """Pointwise arithmetic mean over realizations.
 
     Accumulates in realization-index order so ensemble outputs are
-    bit-stable from run to run.
+    bit-stable from run to run: each run's rows are laid end to end and
+    added to one packed sum, entry by entry the row-by-row sum.
     """
     if len(runs) == 0:
         raise ValueError("cannot average an empty ensemble")
     first = runs[0]
     for other in runs[1:]:
         _check_same_steps(first, other)
-    rows = []
-    for j, row in enumerate(first.rows):
-        acc = np.zeros_like(row.probs)
-        for run in runs:
-            acc += run.rows[j].probs
-        rows.append(Distribution(row.step, acc / len(runs)))
-    return DistributionSeries(tuple(rows))
+    acc = np.zeros(sum(first.steps) + len(first.steps))
+    for run in runs:
+        acc += np.concatenate([row.probs for row in run.rows])
+    acc /= len(runs)
+    return DistributionSeries(_packed_rows(first.steps, acc))
 
 
 def series_from_trajectory(trajectory: Sequence[WalkerState]) -> DistributionSeries:
     """Distributions of the given states, in order.  Slice the trajectory
     to choose steps: ``trajectory[1:]`` gives steps 1..N, ``trajectory[-1:]``
-    the last; states whose steps do not strictly increase are a ``ValueError``."""
-    return DistributionSeries(tuple(position_distribution(state) for state in trajectory))
+    the last; states whose steps do not strictly increase are a ``ValueError``,
+    and so is a state ``position_distribution`` refuses."""
+    return DistributionSeries(_measure(tuple(trajectory)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ class WalkerState:
 
     def norm(self) -> float:
         """L2 norm of the amplitude field (1 for a lossless walk state)."""
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 def delta_state(num_steps: int, coin: int, site: int = 0, step_index: int = 0) -> WalkerState:

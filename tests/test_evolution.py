@@ -1,5 +1,6 @@
 import cmath
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -214,16 +215,100 @@ def test_schedule_shorter_than_walk_is_a_schedule_error():
 
 def test_lattice_shorter_than_the_schedule_is_refused_before_any_step(monkeypatch):
     stepped = []
-    real_coin_field = evolution.coin_field
+    real_coin_layer = evolution.apply_coin_layer
 
-    def counting_coin_field(*args):
+    def counting_coin_layer(*args):
         stepped.append(args)
-        return real_coin_field(*args)
+        return real_coin_layer(*args)
 
-    monkeypatch.setattr(evolution, "coin_field", counting_coin_field)
+    monkeypatch.setattr(evolution, "apply_coin_layer", counting_coin_layer)
+    evolve(initial_state(2), ordered_schedule(2, 0.0), 0.5)
+    assert len(stepped) == 2
+    stepped.clear()
     with pytest.raises(ScheduleError, match="schedule covers 5 steps.*3-step lattice"):
         evolve(initial_state(3), ordered_schedule(5, 0.0), 0.5)
     assert stepped == []
+
+
+@pytest.mark.parametrize("settings,message", [((7.0, 0.0), "reflectivity"),
+                                              ((0.5, float("nan")), "finite")],
+                         ids=["reflectivity", "gauge"])
+@pytest.mark.parametrize("steps_left", [1, 0])
+def test_coin_settings_are_checked_even_with_no_step_left(settings, message, steps_left):
+    schedule = ordered_schedule(3, 0.0)
+    state = evolve(initial_state(3), schedule, 0.5)[3 - steps_left]
+    with pytest.raises(ValueError, match=message):
+        evolve(state, schedule, *settings)
+
+
+def stepwise(state, schedule, reflectivity, gauge):
+    """The walk with one coin_field call per step, the reference for evolve."""
+    states = [state]
+    for k in range(state.step_index + 1, schedule.num_steps + 1):
+        state = apply_shift(apply_coin_layer(state, coin_field(schedule, reflectivity, k, gauge)))
+        states.append(state)
+    return states
+
+
+def phase_schedule(kind, num_steps):
+    if kind == "ordered":
+        return ordered_schedule(num_steps, 0.3)
+    return disordered_schedule(num_steps, DisorderSpec(kind, num_steps, 1), 0)
+
+
+# At 1024 mesh points per block, steps 1..44 fill the first block, so a
+# 44-step walk is one block, 45 steps end in a one-step block, 46 in a
+# two-step one, and 100 cross five block boundaries.
+@pytest.mark.parametrize("num_steps", [44, 45, 46, 100])
+@pytest.mark.parametrize("kind", ["ordered", "binary_0_pi", UNIFORM_0_2PI])
+def test_evolve_equals_the_per_step_coin_field_walk_bit_for_bit(kind, num_steps):
+    schedule = phase_schedule(kind, num_steps)
+    for reflectivity in (0.0, 0.44, 1.0):
+        for gauge in (0.0, 0.7):
+            expected = stepwise(initial_state(num_steps), schedule, reflectivity, gauge)
+            for start in (0, 17):
+                walked = evolve(expected[start], schedule, reflectivity, gauge)
+                assert len(walked) == len(expected) - start
+                for state, reference in zip(walked, expected[start:]):
+                    assert state.step_index == reference.step_index
+                    assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("block_points", [1, 5, 6, 7])
+def test_any_block_size_walks_the_same_bits(monkeypatch, block_points):
+    # blocks smaller than a step, and blocks that end mid-way through steps
+    schedule = phase_schedule(UNIFORM_0_2PI, 12)
+    expected = stepwise(initial_state(12), schedule, 0.44, 0.7)
+    monkeypatch.setattr(evolution, "_BLOCK_POINTS", block_points)
+    for start in (0, 3):
+        walked = evolve(expected[start], schedule, 0.44, 0.7)
+        assert [state.amplitudes.tobytes() for state in walked] == \
+            [state.amplitudes.tobytes() for state in expected[start:]]
+
+
+def test_a_block_is_freed_before_its_last_shift(monkeypatch):
+    # the coin stack of a block is dead by the shift of the block's last
+    # step, as a step's coin_field stack was, and never two are alive
+    blocks = []
+    live_at_shift = []
+    real_splitters, real_shift = evolution._splitters, evolution.apply_shift
+
+    def recording_splitters(*args):
+        block = real_splitters(*args)
+        blocks.append(weakref.ref(block))
+        return block
+
+    def checking_shift(state):
+        live_at_shift.append(sum(ref() is not None for ref in blocks))
+        return real_shift(state)
+
+    monkeypatch.setattr(evolution, "_splitters", recording_splitters)
+    monkeypatch.setattr(evolution, "apply_shift", checking_shift)
+    evolve(initial_state(100), phase_schedule("binary_0_pi", 100), 0.5)
+    assert len(blocks) == 6
+    assert max(live_at_shift) == 1
+    assert live_at_shift.count(0) == len(blocks)
+    assert live_at_shift[-1] == 0
 
 
 def test_gauge_shift_leaves_distributions_unchanged():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,65 @@ def test_distribution_validation():
 def test_distribution_rejects_nan(step, probs):
     with pytest.raises(ValueError, match="probabilities must"):
         Distribution(step, probs)
+
+
+@pytest.mark.parametrize("fill", [0.0, float("nan"), float("inf")])
+def test_a_state_without_finite_power_is_refused_without_a_warning(fill, ordered_walk):
+    bad = WalkerState(np.full((2, 3), fill, dtype=complex), 2, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="step-2 state has total power"):
+            position_distribution(bad)
+        with pytest.raises(ValueError, match="step-2 state has total power"):
+            series_from_trajectory([ordered_walk[1], bad, ordered_walk[3]])
+
+
+def walks():
+    from beamwalk import DisorderSpec, disordered_schedule
+
+    for kind in ("binary_0_pi", "uniform_0_2pi"):
+        for index in range(3):
+            schedule = disordered_schedule(45, DisorderSpec(kind, 4, 3), index)
+            yield evolve(initial_state(45), schedule, 0.44)
+    yield evolve(initial_state(45), ordered_schedule(45, 0.3), 0.5)
+
+
+def test_series_rows_equal_each_states_powers_over_their_sum_bit_for_bit():
+    for trajectory in walks():
+        for states in (trajectory, trajectory[1:], trajectory[-1:]):
+            measured = series_from_trajectory(states)
+            for row, state in zip(measured.rows, states, strict=True):
+                powers = (np.abs(state.amplitudes) ** 2).sum(axis=0)
+                assert row.step == state.step_index
+                assert row.probs.tobytes() == (powers / float(powers.sum())).tobytes()
+            only = position_distribution(states[-1]).probs
+            assert only.tobytes() == measured.rows[-1].probs.tobytes()
+
+
+def test_ensemble_mean_rows_equal_the_index_order_sum_bit_for_bit():
+    runs = [series_from_trajectory(trajectory) for trajectory in walks()]
+    user_rows = series(*[(step, np.full(step + 1, 1.0 / (step + 1))) for step in range(46)])
+    for ensemble in (runs, runs[:1], runs + [user_rows]):
+        mean = ensemble_mean_series(ensemble)
+        assert mean.steps == ensemble[0].steps
+        for j, row in enumerate(mean.rows):
+            acc = np.zeros_like(ensemble[0].rows[j].probs)
+            for run in ensemble:
+                acc += run.rows[j].probs
+            assert row.probs.tobytes() == (acc / len(ensemble)).tobytes()
+
+
+def test_series_rows_are_read_only_views_of_one_array(ordered_walk):
+    runs = [series_from_trajectory(ordered_walk), series_from_trajectory(ordered_walk[2:])]
+    for measured in runs + [ensemble_mean_series(runs[:1])]:
+        packed = measured.rows[0].probs.base
+        assert packed is not None and packed.size == sum(measured.steps) + len(measured.steps)
+        assert all(row.probs.base is packed for row in measured.rows)
+        for row in measured.rows:
+            assert not row.probs.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                row.probs[0] = 0.5
+    # a distribution built by hand still keeps its own copy
+    probs = np.array([0.25, 0.75])
+    built = Distribution(1, probs)
+    assert built.probs.flags.writeable and not np.shares_memory(built.probs, probs)
