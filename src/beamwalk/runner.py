@@ -3,7 +3,9 @@
 Every run writes a manifest that echoes the validated config and the
 exact phase schedules used, each as base64 of its little-endian float64
 bytes, so any run can be replayed bit-for-bit from its manifest alone,
-without regenerating disorder from the seed.
+without regenerating disorder from the seed.  The manifest is written
+one schedule at a time, in the same bytes as one ``json.dumps`` of the
+whole document, and replay releases the parsed manifest before it runs.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import base64
 import datetime
 import json
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -138,12 +141,44 @@ def _walk_steps(series: DistributionSeries) -> DistributionSeries:
     return DistributionSeries(series.rows[1:])
 
 
-def _bundle(config: RunConfig, schedules: list[PhaseSchedule]) -> dict:
-    """A manifest's run entry: the config echo and the exact phases, each
-    schedule as one ASCII base64 string of its little-endian float64 bytes."""
-    return {"config": config_echo(config),
-            "schedules": [base64.b64encode(schedule.phases.astype("<f8").tobytes()).decode("ascii")
-                          for schedule in schedules]}
+def _write_bundle(out: TextIO, config: RunConfig, schedules: list[PhaseSchedule]) -> None:
+    """Write a manifest's run entry, ``"config":...,"schedules":[...]``: the
+    config echo and the exact phases, each schedule as one ASCII base64
+    string of its little-endian float64 bytes, encoded as it is written."""
+    out.write('"config":' + json.dumps(config_echo(config), separators=(",", ":"))
+              + ',"schedules":[')
+    for index, schedule in enumerate(schedules):
+        # The base64 alphabet needs no JSON escaping.
+        out.write('"' if index == 0 else ',"')
+        out.write(base64.b64encode(schedule.phases.astype("<f8", copy=False)).decode("ascii"))
+        out.write('"')
+    out.write("]")
+
+
+def _write_manifest(
+    out: TextIO,
+    config: RunConfig,
+    schedules: list[PhaseSchedule],
+    reference: tuple[RunConfig, list[PhaseSchedule]] | None,
+) -> None:
+    """Write the manifest to ``out`` one schedule at a time.  The text is
+    ``json.dumps(manifest, separators=(",", ":")) + "\n"`` of the document
+    ``{artifact, created_utc, config, schedules, reference}``, whose
+    ``reference`` is null or a ``{config, schedules}`` object, but no more
+    than one schedule's base64 exists at once."""
+    head = json.dumps({"artifact": {"name": "beamwalk", "version": __version__},
+                       "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()},
+                      separators=(",", ":"))
+    out.write(head[:-1] + ",")
+    _write_bundle(out, config, schedules)
+    out.write(',"reference":')
+    if reference is None:
+        out.write("null")
+    else:
+        out.write("{")
+        _write_bundle(out, *reference)
+        out.write("}")
+    out.write("}\n")
 
 
 def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
@@ -175,7 +210,7 @@ def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
 
 
 def _read_bundle(bundle: dict, source: str) -> tuple[RunConfig, list[PhaseSchedule]]:
-    """Decode a run entry that ``_bundle`` wrote: its config and schedules."""
+    """Decode a run entry that ``_write_bundle`` wrote: its config and schedules."""
     config = parse_config(bundle.get("config"), source=f"{source}:config")
     raw = bundle.get("schedules", [])
     expected = 1 if config.disorder is None else config.disorder.realization_count
@@ -226,15 +261,9 @@ def _execute(
     if "oracle_check" in config.outputs:
         _oracle_check(config, schedules, finals, out_dir / "oracle_check.txt")
 
-    manifest = {
-        "artifact": {"name": "beamwalk", "version": __version__},
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        **_bundle(config, schedules),
-        "reference": None if reference is None else _bundle(*reference),
-    }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, separators=(",", ":")) + "\n",
-                             encoding="utf-8", newline="\n")
+    with open(manifest_path, "w", encoding="utf-8", newline="\n") as out:
+        _write_manifest(out, config, schedules, reference)
     return manifest_path
 
 
@@ -276,9 +305,11 @@ def replay(manifest_path: str | Path, output_dir: str | Path | None = None) -> P
     config, schedules = _read_bundle(document, str(manifest_path))
     reference = None
     if config.similarity_vs is not None:
-        bundle = document.get("reference")
-        if not isinstance(bundle, dict):
+        if not isinstance(document.get("reference"), dict):
             raise ConfigError(f"{manifest_path}: manifest lacks the reference run data")
-        reference = _read_bundle(bundle, f"{manifest_path}:reference")
+        reference = _read_bundle(document["reference"], f"{manifest_path}:reference")
         _check_reference_steps(config, reference[0], f"{manifest_path}:reference")
+    # Only the decoded schedules live on through the run, not every
+    # schedule's base64 in the parsed document.
+    del document
     return _execute(config, schedules, reference, output_dir)

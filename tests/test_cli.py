@@ -1,17 +1,31 @@
 import base64
+import datetime
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import beamwalk
-from beamwalk import BINARY_0_PI, DisorderSpec, WalkerState, disordered_schedule
+from beamwalk import (
+    BINARY_0_PI,
+    DisorderSpec,
+    PhaseSchedule,
+    WalkerState,
+    disordered_schedule,
+    ensemble_schedules,
+    ordered_schedule,
+    runner,
+)
 from beamwalk.cli import main
+from beamwalk.config import config_echo, load_config, parse_config
 
 
 def write_config(path, **overrides):
@@ -328,6 +342,128 @@ def test_a_0_2_0_manifest_replays_to_the_same_bytes(tmp_path):
     digests = {name: hashlib.sha256((replayed / name).read_bytes()).hexdigest()
                for name in MANIFEST_0_2_0_SHA256}
     assert digests == MANIFEST_0_2_0_SHA256
+
+
+
+FROZEN_UTC = datetime.datetime(2026, 1, 2, 3, 4, 5, 678901, tzinfo=datetime.timezone.utc)
+
+
+@pytest.fixture
+def frozen_clock(monkeypatch):
+    """Stop the runner's clock at FROZEN_UTC; returns its ISO text."""
+    class Frozen(datetime.datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return FROZEN_UTC.astimezone(tz)
+
+    monkeypatch.setattr(runner, "datetime",
+                        types.SimpleNamespace(datetime=Frozen, timezone=datetime.timezone))
+    return FROZEN_UTC.isoformat()
+
+
+def manifest_text(created, config, schedules, reference):
+    """The manifest as one ``json.dumps`` of the whole document spells it."""
+    def entry(config, schedules):
+        return {"config": config_echo(config),
+                "schedules": [encode_phases(schedule.phases) for schedule in schedules]}
+
+    document = {"artifact": {"name": "beamwalk", "version": beamwalk.__version__},
+                "created_utc": created,
+                **entry(config, schedules),
+                "reference": None if reference is None else entry(*reference)}
+    return json.dumps(document, separators=(",", ":")) + "\n"
+
+
+def ordered_run(tmp_path):
+    config = parse_config({"steps": 5, "reflectivity": 0.44,
+                           "schedule_mode": {"mode": "ordered", "theta": 0.3}})
+    manifest = runner.run(config, output_dir=tmp_path / "run")
+    return manifest, config, [ordered_schedule(5, 0.3)], None
+
+
+def ensemble_run(tmp_path):
+    config = parse_config({"steps": 4, "reflectivity": 0.5,
+                           "schedule_mode": {"mode": "disordered", "kind": "uniform_0_2pi",
+                                             "seed": 17, "realization_count": 3}})
+    manifest = runner.run(config, output_dir=tmp_path / "run")
+    return manifest, config, ensemble_schedules(4, config.disorder), None
+
+
+def reference_run(tmp_path):
+    (tmp_path / "ref.json").write_text(json.dumps(
+        {"steps": 3, "reflectivity": 0.5, "schedule_mode": {"mode": "ordered", "theta": 0.3}}))
+    config = parse_config({"steps": 3, "reflectivity": 0.5,
+                           "schedule_mode": {"mode": "disordered", "seed": 7,
+                                             "realization_count": 2},
+                           "outputs": ["distributions", {"similarity_vs": "ref.json"}]})
+    manifest = runner.run(config, base_dir=tmp_path, output_dir=tmp_path / "run")
+    reference = load_config(tmp_path / "ref.json")
+    return (manifest, config, ensemble_schedules(3, config.disorder),
+            (reference, [ordered_schedule(3, 0.3)]))
+
+
+def replay_of_0_2_0(tmp_path):
+    old = tmp_path / "old.json"
+    old.write_text(MANIFEST_0_2_0, encoding="utf-8")
+    document = json.loads(MANIFEST_0_2_0)
+    manifest = runner.replay(old, output_dir=tmp_path / "replayed")
+    return (manifest, parse_config(document["config"]),
+            [PhaseSchedule(3, phases) for phases in document["schedules"]],
+            (parse_config(document["reference"]["config"]),
+             [PhaseSchedule(3, phases) for phases in document["reference"]["schedules"]]))
+
+
+@pytest.mark.parametrize("case", [ordered_run, ensemble_run, reference_run, replay_of_0_2_0],
+                         ids=lambda case: case.__name__)
+def test_the_manifest_is_the_json_of_the_whole_document(tmp_path, frozen_clock, case):
+    manifest, config, schedules, reference = case(tmp_path)
+    expected = manifest_text(frozen_clock, config, schedules, reference)
+    assert manifest.read_text(encoding="utf-8") == expected
+
+
+def test_writing_a_manifest_holds_about_one_schedule_of_base64(tmp_path):
+    config = parse_config({"steps": 60, "reflectivity": 0.5,
+                           "schedule_mode": {"mode": "disordered", "kind": "uniform_0_2pi",
+                                             "seed": 5, "realization_count": 100}})
+    schedules = ensemble_schedules(60, config.disorder)
+    one = len(encode_phases(schedules[0].phases))  # 19520 characters
+    path = tmp_path / "manifest.json"
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            runner._write_manifest(out, config, schedules, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 100 * one
+    assert peak < 10 * one
+
+
+def test_replay_releases_the_parsed_manifest_before_the_run(tmp_path, monkeypatch):
+    config = parse_config({"steps": 6, "reflectivity": 0.5,
+                           "schedule_mode": {"mode": "disordered", "seed": 23,
+                                             "realization_count": 3}})
+    manifest = runner.run(config, output_dir=tmp_path / "run")
+    created = json.loads(manifest.read_text())["created_utc"]
+
+    def parsed_manifests():
+        return sum(1 for obj in gc.get_objects()
+                   if isinstance(obj, dict) and "artifact" in obj
+                   and obj.get("created_utc") == created)
+
+    held = json.loads(manifest.read_text())
+    assert parsed_manifests() == 1  # the scan sees a parsed manifest
+    del held
+    seen = []
+    execute = runner._execute
+
+    def watched(*args, **kwargs):
+        seen.append(parsed_manifests())
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "_execute", watched)
+    runner.replay(manifest, output_dir=tmp_path / "replay")
+    assert seen == [0]
 
 
 def test_io_failure_exits_three(tmp_path, capsys):
