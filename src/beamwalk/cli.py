@@ -36,22 +36,15 @@ def build_parser() -> argparse.ArgumentParser:
         "and emit distribution/variance/similarity tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_parser = sub.add_parser("run", help="execute a run described by a JSON config")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--output-dir", default=None,
+                        help="write outputs here instead of the run's own output_dir")
+    run_parser = sub.add_parser("run", parents=[common],
+                                help="execute a run described by a JSON config")
     run_parser.add_argument("config", help="path of the config document")
-    run_parser.add_argument(
-        "--output-dir", default=None,
-        help="write outputs here instead of the config's output_dir",
-    )
-
-    replay_parser = sub.add_parser(
-        "replay", help="re-run a manifest using its serialized phase schedules"
-    )
+    replay_parser = sub.add_parser("replay", parents=[common],
+                                   help="re-run a manifest using its serialized phase schedules")
     replay_parser.add_argument("manifest", help="path of a run manifest")
-    replay_parser.add_argument(
-        "--output-dir", default=None,
-        help="write outputs here instead of the manifest's output_dir",
-    )
     return parser
 
 

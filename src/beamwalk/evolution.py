@@ -50,20 +50,20 @@ def apply_coin_layer(state: WalkerState, coins: np.ndarray) -> WalkerState:
     mixed = np.empty_like(state.amplitudes)
     mixed[0] = coins[:, 0, 0] * a0 + coins[:, 0, 1] * a1
     mixed[1] = coins[:, 1, 0] * a0 + coins[:, 1, 1] * a1
-    return WalkerState._owning(mixed, state.step_index, state.num_steps)
+    return WalkerState._owning(mixed, state.step_index)
 
 
 def apply_shift(state: WalkerState) -> WalkerState:
     """Conditional shift: (coin 0, i) -> (coin 1, i-1), (coin 1, i) -> (coin 0, i+1).
 
-    Increments the step index, so a state at its lattice's end is refused.
-    Applying it twice restores the coin label: the inversion is an involution.
+    Increments the step index.  Applying it twice restores the coin label:
+    the inversion is an involution.
     """
     amps = state.amplitudes
     new = np.zeros((2, amps.shape[1] + 1), dtype=np.complex128)
     new[1, :-1] = amps[0]
     new[0, 1:] = amps[1]
-    return WalkerState._owning(new, state.step_index + 1, state.num_steps)
+    return WalkerState._owning(new, state.step_index + 1)
 
 
 # Mesh points whose coins ``evolve`` forms in one call: 1024 complex 2x2
@@ -127,15 +127,15 @@ def evolve(
     applied, matching a network read out right after the last splitter
     row.  Phases are packed step by step, so the first k steps of a walk
     are the walk of ``PhaseSchedule(k, schedule.phases[:k * (k + 1) // 2])``;
-    a lattice longer than the schedule is fine, and one shorter than it
-    is a ``ScheduleError`` before any step is taken.  ``coin_field``'s
-    ``ValueError``s for R and the gauge are raised even when no step is
-    left.  Each step's coins are ``coin_field``'s stack bit for bit, formed
-    for a block of steps at a time.
+    a state past the schedule's end is a ``ScheduleError`` before any
+    step is taken.  ``coin_field``'s ``ValueError``s for R and the gauge
+    are raised even when no step is left.  Each step's coins are
+    ``coin_field``'s stack bit for bit, formed for a block of steps at a
+    time.
     """
-    if not initial.step_index <= schedule.num_steps <= initial.num_steps:
+    if initial.step_index > schedule.num_steps:
         raise ScheduleError(f"schedule covers {schedule.num_steps} steps, but the state is at "
-                            f"step {initial.step_index} of a {initial.num_steps}-step lattice")
+                            f"step {initial.step_index}")
     _check_settings(reflectivity, phase_gauge)
     trajectory = [initial]
     state = initial

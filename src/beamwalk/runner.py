@@ -64,8 +64,8 @@ def _simulate(
     series_all: list[DistributionSeries] = []
     finals: list[WalkerState] = []
     for index, schedule in enumerate(schedules):
-        trajectory = evolve(initial_state(config.steps, config.initial_coin),
-                            schedule, config.reflectivity)
+        trajectory = evolve(initial_state(coin=config.initial_coin), schedule,
+                            config.reflectivity)
         for state in trajectory:
             drift = abs(state.norm() ** 2 - 1.0)
             if drift > NORM_TOLERANCE:

@@ -3,10 +3,10 @@ import numpy as np
 from beamwalk import PhaseSchedule, WalkerState, coin_field, ordered_schedule
 
 
-def random_walker_state(num_steps: int, step_index: int, rng: np.random.Generator) -> WalkerState:
+def random_walker_state(step_index: int, rng: np.random.Generator) -> WalkerState:
     """Normalized state with random amplitudes on the step's light cone."""
     values = rng.normal(size=(2, step_index + 1)) + 1j * rng.normal(size=(2, step_index + 1))
-    return WalkerState(values / np.linalg.norm(values), step_index, num_steps)
+    return WalkerState(values / np.linalg.norm(values), step_index)
 
 
 def single_coin(reflectivity: float, theta0: float = 0.0, theta1: float = 0.0) -> np.ndarray:

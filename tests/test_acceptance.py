@@ -56,7 +56,7 @@ def _schedule_grid(num_steps: int):
 def _mean_final_distribution(num_steps, reflectivity, schedules) -> Distribution:
     runs = []
     for schedule in schedules:
-        trajectory = evolve(initial_state(num_steps), schedule, reflectivity)
+        trajectory = evolve(initial_state(), schedule, reflectivity)
         runs.append(series_from_trajectory(trajectory[-1:]))
     return ensemble_mean_series(runs).rows[0]
 
@@ -65,7 +65,7 @@ def test_criterion_1_unitarity_suite():
     started = time.perf_counter()
     worst = 0.0
     for reflectivity, schedule in product(R_GRID, _schedule_grid(STEPS)):
-        trajectory = evolve(initial_state(STEPS), schedule, reflectivity)
+        trajectory = evolve(initial_state(), schedule, reflectivity)
         for state in trajectory:
             worst = max(worst, abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0))
     elapsed = time.perf_counter() - started
@@ -80,7 +80,7 @@ def test_criterion_2_oracle_equivalence():
     worst = 0.0
     for num_steps in range(1, 11):
         for reflectivity, schedule in product(R_GRID, _schedule_grid(num_steps)):
-            final = evolve(initial_state(num_steps), schedule, reflectivity)[-1]
+            final = evolve(initial_state(), schedule, reflectivity)[-1]
             summed = oracle_state(1, schedule, reflectivity)
             worst = max(worst, float(np.max(np.abs(summed.amplitudes - final.amplitudes))))
     elapsed = time.perf_counter() - started
@@ -91,7 +91,7 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_known_small_walk_values():
-    trajectory = evolve(initial_state(3), ordered_schedule(3, 0.0), 0.5)
+    trajectory = evolve(initial_state(), ordered_schedule(3, 0.0), 0.5)
     expected = {1: [0.5, 0.5], 2: [0.25, 0.5, 0.25], 3: [1 / 8, 5 / 8, 1 / 8, 1 / 8]}
     worst = 0.0
     for step_number, probs in expected.items():
@@ -104,7 +104,7 @@ def test_criterion_3_known_small_walk_values():
 
 
 def _ordered_variances(num_steps: int, reflectivity: float) -> list[float]:
-    trajectory = evolve(initial_state(num_steps), ordered_schedule(num_steps, 0.0), reflectivity)
+    trajectory = evolve(initial_state(), ordered_schedule(num_steps, 0.0), reflectivity)
     return variance_series(series_from_trajectory(trajectory[1:]))
 
 
@@ -187,8 +187,8 @@ def test_criterion_6_gauge_invariance(gauge):
     for reflectivity, schedule in product(
         (0.44, 0.5), [ordered_schedule(STEPS, 0.3), disordered_schedule(STEPS, spec, 0)]
     ):
-        plain = evolve(initial_state(STEPS), schedule, reflectivity)
-        shifted = evolve(initial_state(STEPS), schedule, reflectivity, phase_gauge=gauge)
+        plain = evolve(initial_state(), schedule, reflectivity)
+        shifted = evolve(initial_state(), schedule, reflectivity, phase_gauge=gauge)
         for state_a, state_b in zip(plain, shifted):
             delta = (
                 position_distribution(state_a).probs - position_distribution(state_b).probs
@@ -200,10 +200,10 @@ def test_criterion_6_gauge_invariance(gauge):
 
 def test_criterion_7_similarity_properties():
     ideal = series_from_trajectory(
-        evolve(initial_state(STEPS), ordered_schedule(STEPS, 0.0), 0.5)[1:]
+        evolve(initial_state(), ordered_schedule(STEPS, 0.0), 0.5)[1:]
     )
     real = series_from_trajectory(
-        evolve(initial_state(STEPS), ordered_schedule(STEPS, 0.0), 0.44)[1:]
+        evolve(initial_state(), ordered_schedule(STEPS, 0.0), 0.44)[1:]
     )
     self_error = abs(similarity(real, real) - 1.0)
     symmetry_error = abs(similarity(ideal, real) - similarity(real, ideal))

@@ -50,6 +50,30 @@ def read_rows(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+@pytest.mark.parametrize("theta", [0.0, 1.1])
+@pytest.mark.parametrize("reflectivity", [0.3, 0.5])
+def test_a_runs_initial_coin_reaches_the_walk(tmp_path, reflectivity, theta):
+    # swapping the input coin mirrors the walk about the origin, so the
+    # coin-0 table is the coin-1 table with every site negated
+    tables = {}
+    for coin in (0, 1):
+        config = write_config(tmp_path / f"coin{coin}.json", steps=40, reflectivity=reflectivity,
+                              schedule_mode={"mode": "ordered", "theta": theta},
+                              initial={"coin": coin}, outputs=["distributions"],
+                              output_dir=str(tmp_path / f"coin{coin}"))
+        assert main(["run", str(config)]) == 0
+        tables[coin] = (tmp_path / f"coin{coin}" / "distributions.csv").read_bytes()
+    assert tables[0] != tables[1]
+    probs = {}
+    for coin, table in tables.items():
+        for line in table.decode().splitlines()[1:]:
+            step, site, p = line.split(",")
+            probs[coin, int(step), int(site)] = float(p)
+    assert len(probs) == 2 * sum(k + 1 for k in range(41))
+    for (coin, step, site), p in probs.items():
+        assert abs(p - probs[1 - coin, step, -site]) <= 1e-12
+
+
 def test_minimal_config_runs_with_defaults(tmp_path, capsys):
     config = write_config(tmp_path / "run.json", steps=7, reflectivity=0.5)
     assert main(["run", str(config)]) == 0
@@ -120,7 +144,7 @@ def test_disordered_run_emits_per_realization_variances(tmp_path):
                      [f"{k},{format(v, '.12g')}" for k, v in zip(series.steps, values)])
 
     schedules = beamwalk.ensemble_schedules(5, DisorderSpec(BINARY_0_PI, 9, 3))
-    trajectories = [beamwalk.evolve(beamwalk.initial_state(5), s, 0.44) for s in schedules]
+    trajectories = [beamwalk.evolve(beamwalk.initial_state(), s, 0.44) for s in schedules]
     walks = [beamwalk.series_from_trajectory(trajectory[1:]) for trajectory in trajectories]
     for j, walk in enumerate(walks):
         assert (out / f"variances_r{j}.csv").read_bytes() == variance_table(walk).encode()
@@ -274,7 +298,7 @@ def test_numerical_violation_exits_two(tmp_path, monkeypatch, capsys):
         state = real(initial_coin, schedule, reflectivity)
         amplitudes = state.amplitudes.copy()
         amplitudes[state.step_index % 2, -1] += 1e-6  # the site +step_index
-        return WalkerState(amplitudes, state.step_index, state.num_steps)
+        return WalkerState(amplitudes, state.step_index)
 
     monkeypatch.setattr(runner, "oracle_state", skewed)
     config = write_config(tmp_path / "run.json",
@@ -295,8 +319,7 @@ def test_norm_drift_exits_two(tmp_path, monkeypatch, capsys):
     def drifting(initial, schedule, reflectivity):
         trajectory = real(initial, schedule, reflectivity)
         state = trajectory[2]
-        trajectory[2] = WalkerState(state.amplitudes * (1 + 1e-6), state.step_index,
-                                    state.num_steps)
+        trajectory[2] = WalkerState(state.amplitudes * (1 + 1e-6), state.step_index)
         return trajectory
 
     monkeypatch.setattr(runner, "evolve", drifting)

@@ -107,7 +107,7 @@ def test_schedule_phases_match_recorded_digest(kind, num_steps, index):
 def test_final_amplitudes_match_recorded_digest(label):
     make_schedule, reflectivity, gauge, digest = KERNEL_SHA256[label]
     schedule = make_schedule()
-    final = evolve(initial_state(schedule.num_steps), schedule, reflectivity,
+    final = evolve(initial_state(), schedule, reflectivity,
                    phase_gauge=gauge)[-1]
     sites = reachable_sites(final.step_index)
     amps = np.array(

@@ -31,11 +31,11 @@ def series(*rows):
 
 @pytest.fixture(scope="module")
 def ordered_walk():
-    return evolve(initial_state(7), ordered_schedule(7, 0.0), 0.5)
+    return evolve(initial_state(), ordered_schedule(7, 0.0), 0.5)
 
 
 def test_delta_state_measures_to_a_point_mass():
-    measured = position_distribution(initial_state(2))
+    measured = position_distribution(initial_state())
     assert measured.step == 0
     np.testing.assert_allclose(measured.probs, [1.0])
 
@@ -52,12 +52,12 @@ def test_three_step_distribution(ordered_walk):
 
 def test_coin_trace_is_divided_by_its_row_sum():
     # norm^2 = 0.72: the row still sums to 1, not to the state's norm
-    state = WalkerState(np.array([[0.6, 0.0], [0.0, 0.6]], dtype=complex), 1, 1)
+    state = WalkerState(np.array([[0.6, 0.0], [0.0, 0.6]], dtype=complex), 1)
     np.testing.assert_array_equal(position_distribution(state).probs, [0.5, 0.5])
 
 
 def test_variance_of_a_point_mass_is_zero():
-    assert variance(position_distribution(initial_state(3))) == 0.0
+    assert variance(position_distribution(initial_state())) == 0.0
 
 
 def test_variance_of_the_symmetric_pair():
@@ -101,7 +101,7 @@ def test_similarity_vanishes_on_disjoint_supports():
 
 
 def test_similarity_is_symmetric(ordered_walk):
-    other = evolve(initial_state(7), ordered_schedule(7, 0.0), 0.44)
+    other = evolve(initial_state(), ordered_schedule(7, 0.0), 0.44)
     a = series_from_trajectory(ordered_walk[1:])
     b = series_from_trajectory(other[1:])
     assert abs(similarity(a, b) - similarity(b, a)) < 1e-12
@@ -111,11 +111,11 @@ def test_similarity_separates_localized_from_ballistic(ordered_walk):
     from beamwalk import DisorderSpec, ensemble_mean_series as mean_series, ensemble_schedules
 
     ideal = series_from_trajectory(ordered_walk[1:])
-    real = series_from_trajectory(evolve(initial_state(7), ordered_schedule(7, 0.0), 0.44)[1:])
+    real = series_from_trajectory(evolve(initial_state(), ordered_schedule(7, 0.0), 0.44)[1:])
     spec = DisorderSpec("binary_0_pi", seed=6, realization_count=30)
     localized = mean_series(
         [
-            series_from_trajectory(evolve(initial_state(7), s, 0.5)[1:])
+            series_from_trajectory(evolve(initial_state(), s, 0.5)[1:])
             for s in ensemble_schedules(7, spec)
         ]
     )
@@ -176,6 +176,10 @@ def test_distribution_validation():
         dist(1, [0.7, 0.7])
     with pytest.raises(ValueError, match="increasing"):
         series((2, [0.25, 0.5, 0.25]), (1, [0.5, 0.5]))
+    with pytest.raises(ValueError, match="step must be >= 0"):
+        Distribution(-1, [])
+    with pytest.raises(ValueError, match="at least one step"):
+        DistributionSeries(())
 
 
 # NaN compares false with everything, so checks written as `probs < 0` or
@@ -188,7 +192,7 @@ def test_distribution_rejects_nan(step, probs):
 
 @pytest.mark.parametrize("fill", [0.0, float("nan"), float("inf")])
 def test_a_state_without_finite_power_is_refused_without_a_warning(fill, ordered_walk):
-    bad = WalkerState(np.full((2, 3), fill, dtype=complex), 2, 7)
+    bad = WalkerState(np.full((2, 3), fill, dtype=complex), 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="step-2 state has total power"):
@@ -203,8 +207,8 @@ def walks():
     for kind in ("binary_0_pi", "uniform_0_2pi"):
         for index in range(3):
             schedule = disordered_schedule(45, DisorderSpec(kind, 4, 3), index)
-            yield evolve(initial_state(45), schedule, 0.44)
-    yield evolve(initial_state(45), ordered_schedule(45, 0.3), 0.5)
+            yield evolve(initial_state(), schedule, 0.44)
+    yield evolve(initial_state(), ordered_schedule(45, 0.3), 0.5)
 
 
 def test_series_rows_equal_each_states_powers_over_their_sum_bit_for_bit():

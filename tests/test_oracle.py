@@ -103,7 +103,7 @@ def test_enumeration_order_is_lexicographic_and_stable():
 @pytest.mark.parametrize("num_steps", [1, 2, 3, 4, 5])
 def test_path_sum_matches_matrix_evolution_ordered(reflectivity, num_steps):
     schedule = ordered_schedule(num_steps, 0.0)
-    final = evolve(initial_state(num_steps), schedule, reflectivity)[-1]
+    final = evolve(initial_state(), schedule, reflectivity)[-1]
     summed = oracle_state(1, schedule, reflectivity)
     assert np.max(np.abs(summed.amplitudes - final.amplitudes)) < 1e-10
 
@@ -112,7 +112,7 @@ def test_path_sum_matches_matrix_evolution_disordered():
     spec = DisorderSpec(BINARY_0_PI, seed=17, realization_count=2)
     for index in range(2):
         schedule = disordered_schedule(7, spec, index)
-        final = evolve(initial_state(7), schedule, 0.44)[-1]
+        final = evolve(initial_state(), schedule, 0.44)[-1]
         summed = oracle_state(1, schedule, 0.44)
         assert np.max(np.abs(summed.amplitudes - final.amplitudes)) < 1e-10
 
@@ -126,7 +126,7 @@ def test_three_step_path_sum_distribution():
 
 def test_prefix_schedule_sums_the_first_steps():
     schedule = disordered_schedule(9, DisorderSpec(UNIFORM_0_2PI, 3, 1), 0)
-    trajectory = evolve(initial_state(9), schedule, 0.44)
+    trajectory = evolve(initial_state(), schedule, 0.44)
     for k in range(1, 10):
         summed = oracle_state(1, prefix_schedule(schedule, k), 0.44)
         assert summed.step_index == k

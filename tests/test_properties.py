@@ -43,7 +43,7 @@ reflectivities = st.one_of(
 )
 def test_coin_layer_preserves_norm_of_any_state(seed, step_index, reflectivity):
     rng = np.random.default_rng(seed)
-    state = random_walker_state(7, step_index, rng)
+    state = random_walker_state(step_index, rng)
     field = random_coin_field(range(-step_index, step_index + 1, 2), reflectivity, rng)
     after = apply_coin_layer(state, field)
     assert abs(after.norm() - 1.0) < 1e-12
@@ -58,7 +58,7 @@ def test_coin_layer_preserves_norm_of_any_state(seed, step_index, reflectivity):
 def test_evolution_conserves_probability(seed, num_steps, reflectivity):
     spec = DisorderSpec("uniform_0_2pi", seed=seed, realization_count=1)
     schedule = disordered_schedule(num_steps, spec, 0)
-    trajectory = evolve(initial_state(num_steps), schedule, reflectivity)
+    trajectory = evolve(initial_state(), schedule, reflectivity)
     for state in trajectory:
         assert abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0) < 1e-10
 
@@ -71,9 +71,9 @@ def test_evolution_conserves_probability(seed, num_steps, reflectivity):
 def test_trajectory_respects_the_light_cone(seed, num_steps):
     spec = DisorderSpec("binary_0_pi", seed=seed, realization_count=1)
     schedule = disordered_schedule(num_steps, spec, 0)
-    trajectory = evolve(initial_state(num_steps), schedule, 0.44)
+    trajectory = evolve(initial_state(), schedule, 0.44)
     for state in trajectory:
-        k, n = state.step_index, state.num_steps
+        k, n = state.step_index, num_steps
         for site in range(-n, n + 1):
             if abs(site) > k or (site + k) % 2 != 0:
                 assert state.amplitude(0, site) == 0
@@ -89,8 +89,8 @@ def test_trajectory_respects_the_light_cone(seed, num_steps):
 def test_only_the_phase_difference_is_observable(seed, gauge, reflectivity):
     spec = DisorderSpec("uniform_0_2pi", seed=seed, realization_count=1)
     schedule = disordered_schedule(5, spec, 0)
-    plain = evolve(initial_state(5), schedule, reflectivity)
-    shifted = evolve(initial_state(5), schedule, reflectivity, phase_gauge=gauge)
+    plain = evolve(initial_state(), schedule, reflectivity)
+    shifted = evolve(initial_state(), schedule, reflectivity, phase_gauge=gauge)
     for state_a, state_b in zip(plain, shifted):
         delta = position_distribution(state_a).probs - position_distribution(state_b).probs
         assert np.max(np.abs(delta)) < 1e-12
@@ -103,10 +103,10 @@ def test_only_the_phase_difference_is_observable(seed, gauge, reflectivity):
 )
 def test_step_is_linear_in_the_state(seed, scale):
     rng = np.random.default_rng(seed)
-    first = random_walker_state(5, 2, rng)
-    second = random_walker_state(5, 2, rng)
+    first = random_walker_state(2, rng)
+    second = random_walker_state(2, rng)
     field = random_coin_field(range(-2, 3, 2), 0.44, rng)
-    mixed = WalkerState(first.amplitudes + scale * second.amplitudes, 2, 5)
+    mixed = WalkerState(first.amplitudes + scale * second.amplitudes, 2)
     left = apply_shift(apply_coin_layer(mixed, field)).amplitudes
     right = (apply_shift(apply_coin_layer(first, field)).amplitudes
              + scale * apply_shift(apply_coin_layer(second, field)).amplitudes)
@@ -120,9 +120,24 @@ def test_step_is_linear_in_the_state(seed, scale):
 )
 def test_double_shift_restores_the_coin(site, coin):
     step_index = abs(site)  # earliest step with the right parity for `site`
-    state = delta_state(step_index + 2, coin, site, step_index)
+    state = delta_state(coin, site, step_index)
     twice = apply_shift(apply_shift(state))
     assert twice.amplitude(coin, site) == 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    step_index=st.integers(min_value=0, max_value=200),
+)
+def test_shift_takes_any_state_one_step_on(seed, step_index):
+    # no state is too far along to shift: the schedule, not the state,
+    # ends a walk
+    state = random_walker_state(step_index, np.random.default_rng(seed))
+    shifted = apply_shift(state)
+    assert shifted.step_index == step_index + 1
+    assert shifted.amplitudes[1, :-1].tobytes() == state.amplitudes[0].tobytes()
+    assert shifted.amplitudes[0, 1:].tobytes() == state.amplitudes[1].tobytes()
 
 
 @st.composite
@@ -170,7 +185,7 @@ def test_variance_reflection_invariance(seed, step_number):
 )
 def test_ordered_walks_always_normalize(theta, num_steps):
     schedule = ordered_schedule(num_steps, theta)
-    trajectory = evolve(initial_state(num_steps), schedule, 0.44)
+    trajectory = evolve(initial_state(), schedule, 0.44)
     assert abs(trajectory[-1].norm() - 1.0) < 1e-10
 
 

@@ -13,6 +13,7 @@ from beamwalk import (
     ensemble_schedules,
     ordered_schedule,
 )
+from beamwalk import schedules
 from beamwalk.apparatus import reachable_sites
 
 
@@ -43,6 +44,24 @@ def test_schedule_support_matches_the_light_cone():
 def test_zero_steps_rejected():
     with pytest.raises(ValueError, match="num_steps"):
         ordered_schedule(0, 0.0)
+    with pytest.raises(ValueError, match="num_steps must be >= 1"):
+        PhaseSchedule(0, [])
+    with pytest.raises(ValueError, match="num_steps must be >= 1"):
+        disordered_schedule(0, DisorderSpec(BINARY_0_PI, seed=1, realization_count=1), 0)
+
+
+@pytest.mark.parametrize("kind", [BINARY_0_PI, UNIFORM_0_2PI])
+def test_a_negative_step_count_is_refused_before_its_phases_are_sized(monkeypatch, kind):
+    # _mesh_points(-10**6) is 499999500000 phases: the draws' own checks,
+    # not PhaseSchedule's, are what keep that from being allocated
+    def unsized(num_steps):
+        raise AssertionError(f"sized the phases of a {num_steps}-step walk")
+
+    monkeypatch.setattr(schedules, "_mesh_points", unsized)
+    with pytest.raises(ValueError, match="num_steps must be >= 1"):
+        ordered_schedule(-10**6, 0.0)
+    with pytest.raises(ValueError, match="num_steps must be >= 1"):
+        disordered_schedule(-10**6, DisorderSpec(kind, seed=1, realization_count=1), 0)
 
 
 def test_disordered_schedule_is_deterministic():
