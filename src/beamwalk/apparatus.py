@@ -101,10 +101,10 @@ def layout_table(num_steps: int) -> list[tuple[int, int, int, str, int, str]]:
     reachable mode with step in [1, num_steps]."""
     rows = []
     for step in range(1, num_steps + 1):
-        for site in reachable_sites(step):
-            for coin in (0, 1):
-                locus = mode_locus(step, int(site), coin)
-                rows.append(
-                    (step, int(site), coin, locus.interferometer, locus.plane, locus.direction)
-                )
+        # Only the plane changes along a step's sites: it counts up from
+        # 0 at site -step, so it is the site's index in the step.
+        loci = [mode_locus(step, -step, coin) for coin in (0, 1)]
+        for plane, site in enumerate(range(-step, step + 1, 2)):
+            for coin, locus in enumerate(loci):
+                rows.append((step, site, coin, locus.interferometer, plane, locus.direction))
     return rows

@@ -48,8 +48,12 @@ def apply_coin_layer(state: WalkerState, coins: np.ndarray) -> WalkerState:
                             f"a stack of shape {expected}, got {coins.shape}")
     a0, a1 = state.amplitudes
     mixed = np.empty_like(state.amplitudes)
-    mixed[0] = coins[:, 0, 0] * a0 + coins[:, 0, 1] * a1
-    mixed[1] = coins[:, 1, 0] * a0 + coins[:, 1, 1] * a1
+    # Products go straight into the new rows; no summed temporary is copied.
+    m0, m1 = mixed
+    np.multiply(coins[:, 0, 0], a0, out=m0)
+    np.add(m0, coins[:, 0, 1] * a1, out=m0)
+    np.multiply(coins[:, 1, 0], a0, out=m1)
+    np.add(m1, coins[:, 1, 1] * a1, out=m1)
     return WalkerState._owning(mixed, state.step_index)
 
 

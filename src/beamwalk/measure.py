@@ -133,15 +133,37 @@ def position_distribution(state: WalkerState) -> Distribution:
     return _measure([state])[0]
 
 
+def _spread(step: int, probs: np.ndarray) -> np.ndarray:
+    """Second central moment of the site coordinate for each step-``step``
+    row along the last axis of ``probs``.  Each row is summed over a
+    contiguous axis of its own length, so a row gives the same bits alone
+    or in a stack of rows."""
+    sites = reachable_sites(step).astype(np.float64)
+    mean = (sites * probs).sum(-1)
+    return (sites * sites * probs).sum(-1) - mean * mean
+
+
 def variance(dist: Distribution) -> float:
     """Second central moment of the site coordinate."""
-    sites = dist.sites.astype(np.float64)
-    mean = float((sites * dist.probs).sum())
-    return float((sites * sites * dist.probs).sum() - mean * mean)
+    return float(_spread(dist.step, dist.probs))
+
+
+def _variance_table(runs: Sequence[DistributionSeries]) -> np.ndarray:
+    """``table[r, i]`` is ``variance(runs[r].rows[i])``, bit for bit, taken
+    from one ``(len(runs), step + 1)`` stack of rows per step: an ensemble's
+    variances in one array pass per step, not one call per row."""
+    first = runs[0]
+    for other in runs[1:]:
+        _check_same_steps(first, other)
+    table = np.empty((len(runs), len(first.steps)))
+    for i, step in enumerate(first.steps):
+        table[:, i] = _spread(step, np.stack([run.rows[i].probs for run in runs]))
+    return table
 
 
 def variance_series(series: DistributionSeries) -> list[float]:
     """Variance per step, in series order."""
+    # One series gains nothing from a stack: it would copy each row.
     return [variance(row) for row in series.rows]
 
 

@@ -25,11 +25,13 @@ from .errors import ConfigError, NumericalInvariantError
 from .evolution import evolve
 from .measure import (
     DistributionSeries,
+    _variance_table,
     bhattacharyya_partials,
     ensemble_mean_series,
     series_from_trajectory,
     similarity,
-    variance,
+    variance,  # noqa: F401  perfbench's tracer and its tests look this name up here
+    variance_series,
 )
 from .oracle import oracle_state
 from .schedules import PhaseSchedule, ensemble_schedules, ordered_schedule
@@ -84,15 +86,14 @@ def _write_distributions(path: Path, series: DistributionSeries, to_step_max: bo
         values = row.probs
         if to_step_max:
             values = values / values.max()
-        for site, p in zip(row.sites, values):
-            lines.append(f"{row.step},{site},{_fmt(float(p))}")
+        lines.extend(f"{row.step},{site},{_fmt(p)}"
+                     for site, p in zip(row.sites.tolist(), values.tolist()))
     _write_lines(path, lines)
 
 
-def _write_variances(path: Path, series: DistributionSeries) -> None:
+def _write_variances(path: Path, steps: tuple[int, ...], variances: list[float]) -> None:
     lines = ["step,variance"]
-    for row in series.rows:
-        lines.append(f"{row.step},{_fmt(variance(row))}")
+    lines.extend(f"{step},{_fmt(value)}" for step, value in zip(steps, variances))
     _write_lines(path, lines)
 
 
@@ -247,10 +248,14 @@ def _execute(
             _write_distributions(out_dir / "distributions.csv", mean,
                                  config.normalize_to_step_max)
         elif item == "variances":
-            _write_variances(out_dir / "variances.csv", _walk_steps(mean))
+            steps = mean.steps[1:]
+            _write_variances(out_dir / "variances.csv", steps,
+                             variance_series(_walk_steps(mean)))
             if config.disorder is not None:
-                for j, series in enumerate(series_all):
-                    _write_variances(out_dir / f"variances_r{j}.csv", _walk_steps(series))
+                # Column 0 of the table is step 0, which the files leave out.
+                for j, variances in enumerate(_variance_table(series_all)[:, 1:]):
+                    _write_variances(out_dir / f"variances_r{j}.csv", steps,
+                                     variances.tolist())
         elif item == "layout":
             _write_layout(out_dir / "layout.csv", config.steps)
     if reference is not None:

@@ -68,6 +68,8 @@ def delta_state(coin: int, site: int = 0, step_index: int = 0) -> WalkerState:
     """State concentrated on a single (coin, site) mode with unit amplitude."""
     if coin not in (0, 1):
         raise ValueError(f"coin must be 0 or 1, got {coin}")
+    if step_index < 0:
+        raise ValueError(f"step_index must be >= 0, got {step_index}")
     if abs(site) > step_index or (site + step_index) % 2:
         raise ValueError(f"site {site} is off the step-{step_index} light cone")
     amps = np.zeros((2, step_index + 1), dtype=np.complex128)

@@ -105,3 +105,19 @@ def test_layout_table_enumerates_every_mode():
     assert rows[0] == (1, -1, 0, SI1, 0, TOWARD_VIEWER)
     steps = {row[0] for row in rows}
     assert steps == {1, 2, 3}
+
+
+@pytest.mark.parametrize("num_steps", range(13))
+def test_layout_table_equals_the_per_mode_loci(num_steps):
+    expected = []
+    for step in range(1, num_steps + 1):
+        for site in reachable_sites(step):
+            for coin in (0, 1):
+                locus = mode_locus(step, int(site), coin)
+                expected.append((step, int(site), coin, locus.interferometer, locus.plane,
+                                 locus.direction))
+    rows = layout_table(num_steps)
+    assert rows == expected
+    assert len(rows) == num_steps * (num_steps + 3)
+    # the table writer formats plain Python integers, not numpy scalars
+    assert all(type(row[i]) is int for row in rows for i in (0, 1, 2, 4))

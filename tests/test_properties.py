@@ -18,14 +18,19 @@ from beamwalk import (
     apply_shift,
     delta_state,
     disordered_schedule,
+    ensemble_mean_series,
+    ensemble_schedules,
     evolve,
     initial_state,
     ordered_schedule,
     position_distribution,
+    series_from_trajectory,
     similarity,
     variance,
+    variance_series,
 )
 from beamwalk.config import parse_config
+from beamwalk.measure import _variance_table
 from beamwalk.runner import _read_bundle, _write_manifest
 from conftest import random_coin_field, random_walker_state
 
@@ -222,3 +227,49 @@ def test_manifest_schedules_round_trip_bit_for_bit(ensemble):
     assert len(schedules) == len(phases)
     for schedule, written in zip(schedules, phases):
         assert np.array_equal(schedule.phases.view(np.int64), written.view(np.int64))
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _row_variance(dist: Distribution) -> float:
+    # The one-row-at-a-time form the variance tables were first written with.
+    sites = dist.sites.astype(np.float64)
+    mean = float((sites * dist.probs).sum())
+    return float((sites * sites * dist.probs).sum() - mean * mean)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    realizations=st.integers(min_value=1, max_value=6),
+    num_steps=st.integers(min_value=0, max_value=40),
+    phases=st.sampled_from(["ordered", "binary_0_pi", "uniform_0_2pi"]),
+    coin=st.sampled_from([0, 1]),
+    reflectivity=reflectivities,
+)
+def test_stacked_variances_equal_each_rows_variance_bit_for_bit(
+    seed, realizations, num_steps, phases, coin, reflectivity
+):
+    if num_steps == 0:
+        trajectories = [[initial_state(coin=coin)]] * realizations
+    else:
+        if phases == "ordered":
+            thetas = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, realizations)
+            schedules = [ordered_schedule(num_steps, theta) for theta in thetas]
+        else:
+            spec = DisorderSpec(phases, seed=seed, realization_count=realizations)
+            schedules = ensemble_schedules(num_steps, spec)
+        trajectories = [evolve(initial_state(coin=coin), schedule, reflectivity)
+                        for schedule in schedules]
+    runs = [series_from_trajectory(trajectory) for trajectory in trajectories]
+    table = _variance_table(runs)
+    assert table.shape == (realizations, num_steps + 1)
+    for run, got in zip(runs, table):
+        assert _bits(got) == _bits([variance(row) for row in run.rows])
+        assert _bits(got) == _bits([_row_variance(row) for row in run.rows])
+    mean = ensemble_mean_series(runs)
+    expected = _bits([_row_variance(row) for row in mean.rows])
+    assert _bits(_variance_table([mean])[0]) == expected
+    assert _bits(variance_series(mean)) == _bits([variance(row) for row in mean.rows]) == expected

@@ -84,6 +84,17 @@ def test_off_lightcone_population_rejected(site, step_index):
         delta_state(coin=0, site=site, step_index=step_index)
 
 
+def test_delta_state_refuses_a_negative_step_before_the_light_cone():
+    # the same one-line message the state itself gives
+    message = "step_index must be >= 0, got -1"
+    with pytest.raises(ValueError, match=message):
+        WalkerState(np.zeros((2, 0), dtype=complex), -1)
+    with pytest.raises(ValueError, match=message):
+        delta_state(1, step_index=-1)
+    with pytest.raises(ValueError, match="site 3 is off the step-1 light cone"):
+        delta_state(1, site=3, step_index=1)
+
+
 def test_delta_state_refuses_a_coin_other_than_0_or_1():
     with pytest.raises(ValueError, match="coin must be 0 or 1"):
         delta_state(coin=2)
