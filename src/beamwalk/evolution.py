@@ -46,14 +46,8 @@ def apply_coin_layer(state: WalkerState, coins: np.ndarray) -> WalkerState:
     if coins.shape != expected:
         raise ScheduleError(f"coin layer at step index {state.step_index} needs "
                             f"a stack of shape {expected}, got {coins.shape}")
-    a0, a1 = state.amplitudes
     mixed = np.empty_like(state.amplitudes)
-    # Products go straight into the new rows; no summed temporary is copied.
-    m0, m1 = mixed
-    np.multiply(coins[:, 0, 0], a0, out=m0)
-    np.add(m0, coins[:, 0, 1] * a1, out=m0)
-    np.multiply(coins[:, 1, 0], a0, out=m1)
-    np.add(m1, coins[:, 1, 1] * a1, out=m1)
+    _mix(coins, state.amplitudes, *mixed)
     return WalkerState._owning(mixed, state.step_index)
 
 
@@ -63,10 +57,35 @@ def apply_shift(state: WalkerState) -> WalkerState:
     Increments the step index.  Applying it twice restores the coin label:
     the inversion is an involution.
     """
-    amps = state.amplitudes
-    new = np.zeros((2, amps.shape[1] + 1), dtype=np.complex128)
-    new[1, :-1] = amps[0]
-    new[0, 1:] = amps[1]
+    new, down, up = _shifted(state.step_index)
+    down[:], up[:] = state.amplitudes
+    return WalkerState._owning(new, state.step_index + 1)
+
+
+def _mix(coins: np.ndarray, amps: np.ndarray, out0: np.ndarray, out1: np.ndarray) -> None:
+    """Write the coin-0 and coin-1 rows that ``coins`` mix from ``amps``
+    into ``out0`` and ``out1``; no summed temporary is copied."""
+    a0, a1 = amps
+    np.multiply(coins[:, 0, 0], a0, out=out0)
+    np.add(out0, coins[:, 0, 1] * a1, out=out0)
+    np.multiply(coins[:, 1, 0], a0, out=out1)
+    np.add(out1, coins[:, 1, 1] * a1, out=out1)
+
+
+def _shifted(step_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The array of the state after step ``step_index + 1``, its two edge
+    entries zeroed, and the slots the shift fills: coin 0 lands one site
+    down in row 1, coin 1 one site up in row 0."""
+    new = np.empty((2, step_index + 2), dtype=np.complex128)
+    new[0, 0] = new[1, -1] = 0
+    return new, new[1, :-1], new[0, 1:]
+
+
+def _step(state: WalkerState, coins: np.ndarray) -> WalkerState:
+    """``apply_shift(apply_coin_layer(state, coins))`` bit for bit, with the
+    coin products written straight into the shifted array."""
+    new, down, up = _shifted(state.step_index)
+    _mix(coins, state.amplitudes, down, up)
     return WalkerState._owning(new, state.step_index + 1)
 
 
@@ -134,8 +153,8 @@ def evolve(
     a state past the schedule's end is a ``ScheduleError`` before any
     step is taken.  ``coin_field``'s ``ValueError``s for R and the gauge
     are raised even when no step is left.  Each step's coins are
-    ``coin_field``'s stack bit for bit, formed for a block of steps at a
-    time.
+    ``coin_field``'s stack bit for bit: one splitter for a schedule of one
+    phase, else formed for a block of steps at a time.
     """
     if initial.step_index > schedule.num_steps:
         raise ScheduleError(f"schedule covers {schedule.num_steps} steps, but the state is at "
@@ -144,24 +163,28 @@ def evolve(
     trajectory = [initial]
     state = initial
     done = initial.step_index
+    # Phases of one bit pattern throughout (0.0 and -0.0 differ) make one
+    # splitter: step k takes the first k rows of a single stack.
+    bits = schedule.phases[done * (done + 1) // 2:].view(np.uint64)
+    constant = bits.size > 0 and bool((bits == bits[0]).all())
     while done < schedule.num_steps:
-        # The next block: steps done+1..stop, as many as fit in
-        # _BLOCK_POINTS mesh points, and at least one.
-        base = done * (done + 1) // 2
-        fit = (math.isqrt(8 * (base + _BLOCK_POINTS) + 1) - 1) // 2
-        stop = min(schedule.num_steps, max(done + 1, fit))
-        block = _splitters(schedule.phases[base:stop * (stop + 1) // 2],
-                           reflectivity, phase_gauge)
-        # Step k's coin_field stack, popped in step order: the block's last
-        # step pops its only reference, so the block is freed before that
-        # step's shift allocates.
-        stacks = [block[k * (k - 1) // 2 - base:k * (k + 1) // 2 - base]
-                  for k in range(stop, done, -1)]
-        del block
-        while stacks:
-            # One step, nested so that the coin-mixed state is freed as
-            # soon as the shift returns.
-            state = apply_shift(apply_coin_layer(state, stacks.pop()))
+        if constant:
+            stop = schedule.num_steps
+            block = np.empty((stop, 2, 2), dtype=np.complex128)
+            block[:] = _splitters(schedule.phases[-1:], reflectivity, phase_gauge)
+        else:
+            # The next block: steps done+1..stop, as many as fit in
+            # _BLOCK_POINTS mesh points, and at least one.
+            base = done * (done + 1) // 2
+            fit = (math.isqrt(8 * (base + _BLOCK_POINTS) + 1) - 1) // 2
+            stop = min(schedule.num_steps, max(done + 1, fit))
+            block = _splitters(schedule.phases[base:stop * (stop + 1) // 2],
+                               reflectivity, phase_gauge)
+        for k in range(done + 1, stop + 1):
+            first = 0 if constant else k * (k - 1) // 2 - base
+            state = _step(state, block[first:first + k])
             trajectory.append(state)
+        # Freed before the next block is formed.
+        del block
         done = stop
     return trajectory

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from beamwalk import (
     UNIFORM_0_2PI,
     DisorderSpec,
+    PhaseSchedule,
     ScheduleError,
     WalkerState,
     apply_coin_layer,
@@ -268,29 +270,116 @@ def test_any_block_size_walks_the_same_bits(monkeypatch, block_points):
             [state.amplitudes.tobytes() for state in expected[start:]]
 
 
-def test_a_block_is_freed_before_its_last_shift(monkeypatch):
-    # the coin stack of a block is dead by the shift of the block's last
-    # step, as a step's coin_field stack was, and never two are alive
+def test_a_block_is_freed_before_the_next_is_formed(monkeypatch):
+    # a block's coin stack lives only while its own steps run: each step
+    # sees its own block alive and no other, and a block is dead by the
+    # time the next one is formed
     blocks = []
-    live_at_shift = []
-    real_splitters, real_shift = evolution._splitters, evolution.apply_shift
+    live_at_formation, live_at_step = [], []
+    real_splitters, real_step = evolution._splitters, evolution._step
+
+    def live():
+        return [i for i, ref in enumerate(blocks) if ref() is not None]
 
     def recording_splitters(*args):
+        live_at_formation.append(live())
         block = real_splitters(*args)
         blocks.append(weakref.ref(block))
         return block
 
-    def checking_shift(state):
-        live_at_shift.append(sum(ref() is not None for ref in blocks))
-        return real_shift(state)
+    def checking_step(state, coins):
+        assert coins.base is blocks[-1]()
+        live_at_step.append(live())
+        return real_step(state, coins)
 
     monkeypatch.setattr(evolution, "_splitters", recording_splitters)
-    monkeypatch.setattr(evolution, "apply_shift", checking_shift)
-    evolve(initial_state(), phase_schedule("binary_0_pi", 100), 0.5)
+    monkeypatch.setattr(evolution, "_step", checking_step)
+    trajectory = evolve(initial_state(), phase_schedule("binary_0_pi", 100), 0.5)
     assert len(blocks) == 6
-    assert max(live_at_shift) == 1
-    assert live_at_shift.count(0) == len(blocks)
-    assert live_at_shift[-1] == 0
+    assert max(len(alive) for alive in live_at_step) == 1
+    assert live_at_formation == [[]] * len(blocks)
+    assert live_at_step[-1] == [len(blocks) - 1]
+    assert len(trajectory) == 101 and live() == []
+
+
+def walks_per_step_bit_for_bit(schedule, reflectivity, gauge):
+    expected = stepwise(initial_state(), schedule, reflectivity, gauge)
+    for start in (0, 17):
+        walked = evolve(expected[start], schedule, reflectivity, gauge)
+        assert [state.step_index for state in walked] == \
+            [state.step_index for state in expected[start:]]
+        assert [state.amplitudes.tobytes() for state in walked] == \
+            [state.amplitudes.tobytes() for state in expected[start:]]
+
+
+def splitter_sizes(monkeypatch):
+    """The number of phases of each ``_splitters`` call evolve makes."""
+    sizes = []
+    real_splitters = evolution._splitters
+
+    def recording_splitters(thetas, *args):
+        sizes.append(thetas.size)
+        return real_splitters(thetas, *args)
+
+    monkeypatch.setattr(evolution, "_splitters", recording_splitters)
+    return sizes
+
+
+@pytest.mark.parametrize("num_steps", [44, 45, 100])
+@pytest.mark.parametrize("theta", [0.0, -0.0, 1.1, np.pi])
+def test_a_constant_schedule_forms_one_splitter_and_walks_the_same_bits(monkeypatch, theta,
+                                                                        num_steps):
+    schedule = ordered_schedule(num_steps, theta)
+    for reflectivity in (0.0, 0.44, 1.0):
+        for gauge in (0.0, -0.0, 0.7):
+            walks_per_step_bit_for_bit(schedule, reflectivity, gauge)
+    sizes = splitter_sizes(monkeypatch)
+    evolve(initial_state(), schedule, 0.44)
+    assert sizes == [1]
+
+
+def near_constant(num_steps, kind):
+    phases = np.zeros(num_steps * (num_steps + 1) // 2)
+    if kind == "last point":
+        phases[-1] = 1.1
+    else:
+        phases[::3] = -0.0
+    return PhaseSchedule(num_steps, phases)
+
+
+@pytest.mark.parametrize("kind", ["last point", "signed zeros"])
+def test_a_near_constant_schedule_takes_the_block_path(monkeypatch, kind):
+    schedule = near_constant(100, kind)
+    for gauge in (0.0, -0.0, 0.7):
+        walks_per_step_bit_for_bit(schedule, 0.44, gauge)
+    sizes = splitter_sizes(monkeypatch)
+    evolve(initial_state(), schedule, 0.44)
+    assert len(sizes) == 6 and sum(sizes) == schedule.phases.size
+
+
+@pytest.mark.parametrize("step_index", [0, 1, 4, 9, 60])
+def test_the_fused_step_is_coin_layer_then_shift_bit_for_bit(step_index):
+    rng = np.random.default_rng(70 + step_index)
+    state = random_walker_state(step_index, rng)
+    coins = random_coin_field(reachable_sites(step_index), 0.44, rng)
+    fused = evolution._step(state, coins)
+    composed = apply_shift(apply_coin_layer(state, coins))
+    assert fused.step_index == composed.step_index == step_index + 1
+    assert fused.amplitudes.tobytes() == composed.amplitudes.tobytes()
+
+
+def test_an_ordered_walk_holds_little_beyond_its_trajectory():
+    # a stack per mesh point (N(N+1)/2 x 64 B = 5.1 MB here), or blocks
+    # kept alive, would break this bound
+    schedule = ordered_schedule(400, 0.0)
+    start = initial_state()
+    tracemalloc.start()
+    try:
+        trajectory = evolve(start, schedule, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(state.amplitudes.nbytes for state in trajectory[1:]) + 2**20
 
 
 def test_gauge_shift_leaves_distributions_unchanged():
