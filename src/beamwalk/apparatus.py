@@ -63,6 +63,11 @@ def reachable_sites(step: int) -> np.ndarray:
     return np.arange(-step, step + 1, 2)
 
 
+def _check_coin(coin: object, name: str = "coin") -> None:
+    if isinstance(coin, bool) or not isinstance(coin, (int, np.integer)) or coin not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {coin}")
+
+
 def mode_locus(step: int, site: int, coin: int) -> ModeLocus:
     """Locate the mode (step, site, coin) in the apparatus.
 
@@ -74,8 +79,7 @@ def mode_locus(step: int, site: int, coin: int) -> ModeLocus:
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    if coin not in (0, 1):
-        raise ValueError(f"coin must be 0 or 1, got {coin}")
+    _check_coin(coin)
     if abs(site) > step or (site + step) % 2 != 0:
         raise ValueError(f"site {site} is not reachable at step {step}")
     return ModeLocus(

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .oracle import MAX_ENUMERATION_STEPS
-from .schedules import BINARY_0_PI, DISORDER_KINDS, DisorderSpec
+from .schedules import BINARY_0_PI, DISORDER_KINDS, DisorderSpec, _mesh_points
 
 __all__ = ["OUTPUT_KINDS", "RunConfig", "parse_config", "load_config", "config_echo"]
 
@@ -169,7 +169,7 @@ def parse_config(document: Mapping, source: str = "<config>") -> RunConfig:
     steps = _as_int(raw["steps"], source, "steps")
     if steps < 1:
         raise _fail(source, "steps", f"must be >= 1, got {steps}")
-    if steps * (steps + 1) // 2 * 8 > sys.maxsize:  # numpy's limit on one phase array
+    if _mesh_points(steps) * 8 > sys.maxsize:  # numpy's limit on one phase array
         raise _fail(source, "steps", f"{steps} steps need more phases than one array can hold")
 
     if "reflectivity" not in raw:

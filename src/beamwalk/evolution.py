@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import ScheduleError
-from .schedules import PhaseSchedule
+from .schedules import PhaseSchedule, _mesh_points
 from .state import WalkerState
 
 __all__ = ["apply_coin_layer", "apply_shift", "coin_field", "evolve"]
@@ -153,8 +153,8 @@ def evolve(
     a state past the schedule's end is a ``ScheduleError`` before any
     step is taken.  ``coin_field``'s ``ValueError``s for R and the gauge
     are raised even when no step is left.  Each step's coins are
-    ``coin_field``'s stack bit for bit: one splitter for a schedule of one
-    phase, else formed for a block of steps at a time.
+    ``coin_field``'s stack bit for bit: a schedule of one phase broadcasts its
+    one splitter over each step's sites, filling no stack; others form blocks.
     """
     if initial.step_index > schedule.num_steps:
         raise ScheduleError(f"schedule covers {schedule.num_steps} steps, but the state is at "
@@ -164,24 +164,23 @@ def evolve(
     state = initial
     done = initial.step_index
     # Phases of one bit pattern throughout (0.0 and -0.0 differ) make one
-    # splitter: step k takes the first k rows of a single stack.
-    bits = schedule.phases[done * (done + 1) // 2:].view(np.uint64)
-    constant = bits.size > 0 and bool((bits == bits[0]).all())
+    # splitter, broadcast over every remaining site: no stack is filled.
+    bits = schedule.phases[_mesh_points(done):].view(np.uint64)
+    constant = bits.size > 0 and bits.min() == bits.max()
     while done < schedule.num_steps:
+        base = _mesh_points(done)
         if constant:
-            stop = schedule.num_steps
-            block = np.empty((stop, 2, 2), dtype=np.complex128)
-            block[:] = _splitters(schedule.phases[-1:], reflectivity, phase_gauge)
+            stop, thetas = schedule.num_steps, schedule.phases[-1:]
         else:
             # The next block: steps done+1..stop, as many as fit in
             # _BLOCK_POINTS mesh points, and at least one.
-            base = done * (done + 1) // 2
             fit = (math.isqrt(8 * (base + _BLOCK_POINTS) + 1) - 1) // 2
             stop = min(schedule.num_steps, max(done + 1, fit))
-            block = _splitters(schedule.phases[base:stop * (stop + 1) // 2],
-                               reflectivity, phase_gauge)
+            thetas = schedule.phases[base:_mesh_points(stop)]
+        block = np.broadcast_to(_splitters(thetas, reflectivity, phase_gauge),
+                                (_mesh_points(stop) - base, 2, 2))
         for k in range(done + 1, stop + 1):
-            first = 0 if constant else k * (k - 1) // 2 - base
+            first = _mesh_points(k - 1) - base
             state = _step(state, block[first:first + k])
             trajectory.append(state)
         # Freed before the next block is formed.

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .apparatus import _check_coin
 from .errors import CapacityError
 from .schedules import PhaseSchedule
 from .state import WalkerState
@@ -54,14 +55,12 @@ def _entry(reflectivity: float, theta: float, out_port: int, in_port: int) -> co
     return magnitude * cmath.exp(1j * phase)
 
 
-def _path_sum(initial_coin: int, schedule: PhaseSchedule, reflectivity: float,
-              reflected: list[np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
+def _path_sum(initial_coin: int, schedule: PhaseSchedule,
+              reflectivity: float) -> tuple[np.ndarray, ...]:
     """Every history's amplitude (re, im), final coin and final column.
     Step k branches each prefix into port 0, then port 1, so history p
-    leaves splitter k by out-port (p >> (num_steps - k)) & 1, high bit first.
-    ``reflected``, if given, gets one mask per step: which histories reflect."""
-    if initial_coin not in (0, 1):
-        raise ValueError(f"initial_coin must be 0 or 1, got {initial_coin}")
+    leaves splitter k by out-port (p >> (num_steps - k)) & 1, high bit first."""
+    _check_coin(initial_coin, "initial_coin")
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
     num_steps = schedule.num_steps
@@ -77,11 +76,9 @@ def _path_sum(initial_coin: int, schedule: PhaseSchedule, reflectivity: float,
     ports = np.array([0, 1])
     coin, column = np.array([initial_coin]), np.zeros(1, dtype=np.intp)
     re, im = np.ones(1), np.zeros(1)
-    for k, entries in enumerate(table, start=1):
+    for entries in table:
         # (prefix, port) arrays; C-order ravel keeps the children in history order.
         entry = entries[column[:, None], ports, coin[:, None]]
-        if reflected is not None:
-            reflected.append(np.repeat(ports == coin[:, None], 2 ** (num_steps - k)))
         # Python's complex product, term by term, so every bit matches.
         re, im = ((re[:, None] * entry.real - im[:, None] * entry.imag).ravel(),
                   (re[:, None] * entry.imag + im[:, None] * entry.real).ravel())
@@ -100,9 +97,12 @@ def enumerate_paths(
     """All 2^N branch histories of the schedule's N-step walk, in
     lexicographic branch order (port 0 before port 1 at every splitter)."""
     num_steps = schedule.num_steps
-    reflected: list[np.ndarray] = []
-    re, im, coin, column = _path_sum(initial_coin, schedule, reflectivity, reflected)
-    choices = np.array(reflected, dtype=bool).reshape(num_steps, re.size).T.tolist()
+    re, im, coin, column = _path_sum(initial_coin, schedule, reflectivity)
+    # History p reflects where it leaves by the port it entered (the initial coin, then
+    # the port not taken the step before): p's Gray code, top bit flipped for coin 0.
+    p = np.arange(re.size, dtype=np.uint32)
+    gray = (p ^ (p >> 1) ^ (0 if initial_coin else 1 << (num_steps - 1))).astype(">u4")
+    choices = np.unpackbits(gray.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - num_steps:].tolist()
     labels = (TRANSMIT, REFLECT)
     return [PathRecord(tuple(labels[b] for b in bits), c, 2 * j - num_steps, complex(r, i))
             for bits, c, j, r, i in zip(choices, coin.tolist(), column.tolist(),

@@ -34,7 +34,7 @@ from .measure import (
     variance_series,
 )
 from .oracle import oracle_state
-from .schedules import PhaseSchedule, ensemble_schedules, ordered_schedule
+from .schedules import PhaseSchedule, _mesh_points, ensemble_schedules, ordered_schedule
 from .state import WalkerState, initial_state
 
 __all__ = ["NORM_TOLERANCE", "ORACLE_TOLERANCE", "run", "replay"]
@@ -192,7 +192,7 @@ def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
     try:
         if isinstance(raw, str):
             data = base64.b64decode(raw.encode("ascii"), validate=True)
-            expected = 8 * (num_steps * (num_steps + 1) // 2)
+            expected = 8 * _mesh_points(num_steps)
             if len(data) != expected:
                 raise ValueError(f"expected {expected} bytes of float64 phases, "
                                  f"got {len(data)}")

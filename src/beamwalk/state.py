@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apparatus import reachable_sites
+from .apparatus import _check_coin, reachable_sites
 
 __all__ = ["WalkerState", "delta_state", "initial_state"]
 
@@ -53,8 +53,7 @@ class WalkerState:
 
     def amplitude(self, coin: int, site: int) -> complex:
         """Amplitude of the (coin, site) mode; 0 off the light cone."""
-        if coin not in (0, 1):
-            raise ValueError(f"coin must be 0 or 1, got {coin}")
+        _check_coin(coin)
         if abs(site) > self.step_index or (site + self.step_index) % 2:
             return 0j
         return complex(self.amplitudes[coin, (site + self.step_index) // 2])
@@ -66,8 +65,7 @@ class WalkerState:
 
 def delta_state(coin: int, site: int = 0, step_index: int = 0) -> WalkerState:
     """State concentrated on a single (coin, site) mode with unit amplitude."""
-    if coin not in (0, 1):
-        raise ValueError(f"coin must be 0 or 1, got {coin}")
+    _check_coin(coin)
     if step_index < 0:
         raise ValueError(f"step_index must be >= 0, got {step_index}")
     if abs(site) > step_index or (site + step_index) % 2:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from beamwalk import (
@@ -54,8 +55,10 @@ def test_unreachable_modes_are_rejected():
         mode_locus(2, 1, 0)  # wrong parity
     with pytest.raises(ValueError, match="not reachable"):
         mode_locus(2, 4, 0)  # outside the cone
-    with pytest.raises(ValueError, match="coin"):
-        mode_locus(2, 2, 2)
+    for coin in (2, True, np.True_, 1.0):
+        with pytest.raises(ValueError, match=f"coin must be 0 or 1, got {coin}"):
+            mode_locus(2, 2, coin)
+    assert mode_locus(2, 2, np.int64(1)) == mode_locus(2, 2, 1)
     with pytest.raises(ValueError, match="step"):
         mode_locus(0, 0, 0)
 

@@ -338,6 +338,26 @@ def test_a_constant_schedule_forms_one_splitter_and_walks_the_same_bits(monkeypa
     assert sizes == [1]
 
 
+@pytest.mark.parametrize("theta", [0.0, -0.0, np.pi])
+def test_every_step_of_a_constant_schedule_views_one_splitter(monkeypatch, theta):
+    # no per-site stack: each step's coins are the one splitter's 64 bytes
+    schedule = ordered_schedule(60, theta)
+    start = evolve(initial_state(), schedule, 0.44)[23]
+    layouts = []
+    real_step = evolution._step
+
+    def recording_step(state, coins):
+        layouts.append((coins.shape[0], coins.strides[0]))
+        return real_step(state, coins)
+
+    monkeypatch.setattr(evolution, "_step", recording_step)
+    for initial in (initial_state(), start):
+        layouts.clear()
+        evolve(initial, schedule, 0.44, phase_gauge=0.7)
+        assert [k for k, _ in layouts] == list(range(initial.step_index + 1, 61))
+        assert all(k == 1 or stride == 0 for k, stride in layouts), layouts
+
+
 def near_constant(num_steps, kind):
     phases = np.zeros(num_steps * (num_steps + 1) // 2)
     if kind == "last point":

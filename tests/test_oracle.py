@@ -144,7 +144,10 @@ def test_enumeration_guard_rejects_large_walks():
     (2, 0.5, "initial_coin"),
     (1, 1.5, "reflectivity"),
     (1, float("nan"), "reflectivity"),
-], ids=["coin-2", "R-1.5", "R-nan"])
+    (True, 0.5, "initial_coin must be 0 or 1, got True"),
+    (np.True_, 0.5, "initial_coin must be 0 or 1, got True"),
+    (1.0, 0.5, "initial_coin must be 0 or 1, got 1.0"),
+], ids=["coin-2", "R-1.5", "R-nan", "coin-True", "coin-np.True_", "coin-1.0"])
 def test_the_oracle_refuses_a_bad_coin_or_reflectivity(oracle, coin, reflectivity, field):
     with pytest.raises(ValueError, match=field):
         oracle(coin, ordered_schedule(2, 0.0), reflectivity)
@@ -251,13 +254,15 @@ def amplitude_bits(amplitude):
 
 @pytest.mark.parametrize("initial_coin", [0, 1])
 def test_records_are_the_scalar_recursions_leaves_in_order(initial_coin):
-    schedule = disordered_schedule(8, DisorderSpec(UNIFORM_0_2PI, 13, 1), 0)
-    records = enumerate_paths(initial_coin, schedule, 0.3)
-    leaves = scalar_leaves(initial_coin, schedule, 0.3)
-    assert len(records) == len(leaves) == 2**8
-    assert [(r.choices, r.final_coin, r.final_site, amplitude_bits(r.amplitude))
-            for r in records] == [(choices, coin, site, amplitude_bits(amplitude))
-                                  for choices, coin, site, amplitude in leaves]
+    # at one step only the initial coin decides which port reflects
+    for num_steps in (1, 2, 8):
+        schedule = disordered_schedule(num_steps, DisorderSpec(UNIFORM_0_2PI, 13, 1), 0)
+        records = enumerate_paths(initial_coin, schedule, 0.3)
+        leaves = scalar_leaves(initial_coin, schedule, 0.3)
+        assert len(records) == len(leaves) == 2**num_steps
+        assert [(r.choices, r.final_coin, r.final_site, amplitude_bits(r.amplitude))
+                for r in records] == [(choices, coin, site, amplitude_bits(amplitude))
+                                      for choices, coin, site, amplitude in leaves]
 
 
 @settings(max_examples=30, deadline=None)

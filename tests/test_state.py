@@ -96,13 +96,25 @@ def test_delta_state_refuses_a_negative_step_before_the_light_cone():
 
 
 def test_delta_state_refuses_a_coin_other_than_0_or_1():
-    with pytest.raises(ValueError, match="coin must be 0 or 1"):
-        delta_state(coin=2)
+    # a bool or a float would index the amplitude array: True as a mask
+    # over every site, 1.0 not at all
+    for coin in (2, True, np.True_, 1.0):
+        with pytest.raises(ValueError, match=f"coin must be 0 or 1, got {coin}"):
+            delta_state(coin, 0, 2)
+
+
+def test_initial_state_refuses_a_bool_coin():
+    with pytest.raises(ValueError, match="coin must be 0 or 1, got True"):
+        initial_state(coin=True)
+    # a numpy integer is still a coin label
+    assert initial_state(coin=np.int64(0)).amplitudes.tolist() == [[1], [0]]
 
 
 def test_amplitude_accessor_validates_arguments():
     state = initial_state()
-    with pytest.raises(ValueError, match="coin"):
-        state.amplitude(2, 0)
+    for coin in (2, True, np.True_, 1.0):
+        with pytest.raises(ValueError, match=f"coin must be 0 or 1, got {coin}"):
+            state.amplitude(coin, 0)
+    assert state.amplitude(np.uint8(1), 0) == 1
     # a site off the light cone reads 0, however far out
     assert state.amplitude(0, 5) == 0
