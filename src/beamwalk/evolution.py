@@ -48,7 +48,7 @@ def apply_coin_layer(state: WalkerState, coins: np.ndarray) -> WalkerState:
                             f"a stack of shape {expected}, got {coins.shape}")
     mixed = np.empty_like(state.amplitudes)
     _mix(coins, state.amplitudes, *mixed)
-    return WalkerState._owning(mixed, state.step_index)
+    return WalkerState._owning(mixed)
 
 
 def apply_shift(state: WalkerState) -> WalkerState:
@@ -59,7 +59,7 @@ def apply_shift(state: WalkerState) -> WalkerState:
     """
     new, down, up = _shifted(state.step_index)
     down[:], up[:] = state.amplitudes
-    return WalkerState._owning(new, state.step_index + 1)
+    return WalkerState._owning(new)
 
 
 def _mix(coins: np.ndarray, amps: np.ndarray, out0: np.ndarray, out1: np.ndarray) -> None:
@@ -86,7 +86,7 @@ def _step(state: WalkerState, coins: np.ndarray) -> WalkerState:
     coin products written straight into the shifted array."""
     new, down, up = _shifted(state.step_index)
     _mix(coins, state.amplitudes, down, up)
-    return WalkerState._owning(new, state.step_index + 1)
+    return WalkerState._owning(new)
 
 
 # Mesh points whose coins ``evolve`` forms in one call: 1024 complex 2x2

@@ -36,33 +36,32 @@ __all__ = [
 class Distribution:
     """Site occupation probabilities at one step.
 
-    ``probs[j]`` belongs to ``reachable_sites(step)[j]``; sites of the
-    wrong parity are structurally absent because they are always zero.
+    ``probs[j]`` belongs to ``reachable_sites(step)[j]``, where ``step`` is
+    ``probs.size - 1``; sites of the wrong parity are structurally absent
+    because they are always zero.
     """
 
-    step: int
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.step < 0:
-            raise ValueError(f"step must be >= 0, got {self.step}")
         probs = np.array(self.probs, dtype=np.float64, copy=True)
-        if probs.shape != (self.step + 1,):
-            raise ValueError(
-                f"step-{self.step} distribution needs {self.step + 1} entries, "
-                f"got shape {probs.shape}"
-            )
+        if probs.ndim != 1 or probs.size == 0:
+            raise ValueError(f"probs must have shape (step + 1,), got {probs.shape}")
         _check_probabilities(probs, probs.sum(keepdims=True))
         object.__setattr__(self, "probs", probs)
 
     @classmethod
-    def _owning(cls, step: int, probs: np.ndarray) -> Distribution:
+    def _owning(cls, probs: np.ndarray) -> Distribution:
         """A distribution that keeps ``probs``, a read-only float64 row
         its caller has checked as ``__post_init__`` would, without a copy."""
         dist = object.__new__(cls)
-        object.__setattr__(dist, "step", step)
         object.__setattr__(dist, "probs", probs)
         return dist
+
+    @property
+    def step(self) -> int:
+        """The step this row belongs to: its length minus one."""
+        return self.probs.size - 1
 
     @property
     def sites(self) -> np.ndarray:
@@ -87,8 +86,8 @@ def _packed_rows(steps: Sequence[int], packed: np.ndarray) -> tuple[Distribution
     bounds = list(accumulate((step + 1 for step in steps), initial=0))
     _check_probabilities(packed, np.add.reduceat(packed, bounds[:-1]))
     packed.flags.writeable = False
-    return tuple(Distribution._owning(step, packed[start:stop])
-                 for step, start, stop in zip(steps, bounds, bounds[1:]))
+    return tuple(Distribution._owning(packed[start:stop])
+                 for start, stop in zip(bounds, bounds[1:]))
 
 
 def _measure(states: Sequence[WalkerState]) -> tuple[Distribution, ...]:
@@ -133,19 +132,19 @@ def position_distribution(state: WalkerState) -> Distribution:
     return _measure([state])[0]
 
 
-def _spread(step: int, probs: np.ndarray) -> np.ndarray:
-    """Second central moment of the site coordinate for each step-``step``
-    row along the last axis of ``probs``.  Each row is summed over a
-    contiguous axis of its own length, so a row gives the same bits alone
-    or in a stack of rows."""
-    sites = reachable_sites(step).astype(np.float64)
+def _spread(probs: np.ndarray) -> np.ndarray:
+    """Second central moment of the site coordinate for each row along the
+    last axis of ``probs``; a row of width k + 1 belongs to step k.  Each
+    row is summed over a contiguous axis of its own length, so a row gives
+    the same bits alone or in a stack of rows."""
+    sites = reachable_sites(probs.shape[-1] - 1).astype(np.float64)
     mean = (sites * probs).sum(-1)
     return (sites * sites * probs).sum(-1) - mean * mean
 
 
 def variance(dist: Distribution) -> float:
     """Second central moment of the site coordinate."""
-    return float(_spread(dist.step, dist.probs))
+    return float(_spread(dist.probs))
 
 
 def _variance_table(runs: Sequence[DistributionSeries]) -> np.ndarray:
@@ -156,8 +155,8 @@ def _variance_table(runs: Sequence[DistributionSeries]) -> np.ndarray:
     for other in runs[1:]:
         _check_same_steps(first, other)
     table = np.empty((len(runs), len(first.steps)))
-    for i, step in enumerate(first.steps):
-        table[:, i] = _spread(step, np.stack([run.rows[i].probs for run in runs]))
+    for i in range(len(first.steps)):
+        table[:, i] = _spread(np.stack([run.rows[i].probs for run in runs]))
     return table
 
 

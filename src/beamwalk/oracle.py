@@ -128,4 +128,4 @@ def oracle_state(
     amps = np.empty((2, num_steps + 1), dtype=np.complex128)
     amps.real.flat = np.bincount(bins, weights=re, minlength=amps.size)
     amps.imag.flat = np.bincount(bins, weights=im, minlength=amps.size)
-    return WalkerState._owning(amps, num_steps)
+    return WalkerState._owning(amps)

@@ -16,35 +16,32 @@ __all__ = ["WalkerState", "delta_state", "initial_state"]
 class WalkerState:
     """Complex amplitudes over the light cone after ``step_index`` steps.
 
-    ``amplitudes`` has shape ``(2, step_index + 1)``: ``amplitudes[c, j]``
-    is the coin-c amplitude at site ``-step_index + 2j``.  Only reachable
-    sites are stored, so the light cone holds by construction; every other
-    site has amplitude 0.  The schedule alone says how long a walk is.
+    ``amplitudes`` has shape ``(2, step_index + 1)``, so its width is the
+    step: ``amplitudes[c, j]`` is the coin-c amplitude at site
+    ``-step_index + 2j``.  Only reachable sites are stored, so the light
+    cone holds by construction; every other site has amplitude 0.
     """
 
     amplitudes: np.ndarray
-    step_index: int
 
     def __post_init__(self) -> None:
-        self._adopt(self.amplitudes, copy=True)
+        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
+        if amps.ndim != 2 or amps.shape[0] != 2 or amps.shape[1] < 1:
+            raise ValueError(f"amplitudes must have shape (2, step_index + 1), got {amps.shape}")
+        object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def _owning(cls, amplitudes: np.ndarray, step_index: int) -> WalkerState:
+    def _owning(cls, amplitudes: np.ndarray) -> WalkerState:
         """A state that keeps ``amplitudes``, a complex128 array its caller
-        has just allocated and hands over, without the defensive copy."""
+        has just built and hands over, without the defensive copy or check."""
         state = object.__new__(cls)
-        object.__setattr__(state, "step_index", step_index)
-        state._adopt(amplitudes, copy=False)
+        object.__setattr__(state, "amplitudes", amplitudes)
         return state
 
-    def _adopt(self, amplitudes, copy: bool) -> None:
-        if self.step_index < 0:
-            raise ValueError(f"step_index must be >= 0, got {self.step_index}")
-        amps = np.array(amplitudes, dtype=np.complex128, copy=copy)
-        expected = (2, self.step_index + 1)
-        if amps.shape != expected:
-            raise ValueError(f"amplitudes must have shape {expected}, got {amps.shape}")
-        object.__setattr__(self, "amplitudes", amps)
+    @property
+    def step_index(self) -> int:
+        """Steps taken to reach this state: the array's width minus one."""
+        return self.amplitudes.shape[1] - 1
 
     @property
     def sites(self) -> np.ndarray:
@@ -72,7 +69,7 @@ def delta_state(coin: int, site: int = 0, step_index: int = 0) -> WalkerState:
         raise ValueError(f"site {site} is off the step-{step_index} light cone")
     amps = np.zeros((2, step_index + 1), dtype=np.complex128)
     amps[coin, (site + step_index) // 2] = 1.0
-    return WalkerState._owning(amps, step_index)
+    return WalkerState._owning(amps)
 
 
 def initial_state(num_steps: int | None = None, coin: int = 1) -> WalkerState:

@@ -6,7 +6,7 @@ from beamwalk import PhaseSchedule, WalkerState, coin_field, ordered_schedule
 def random_walker_state(step_index: int, rng: np.random.Generator) -> WalkerState:
     """Normalized state with random amplitudes on the step's light cone."""
     values = rng.normal(size=(2, step_index + 1)) + 1j * rng.normal(size=(2, step_index + 1))
-    return WalkerState(values / np.linalg.norm(values), step_index)
+    return WalkerState(values / np.linalg.norm(values))
 
 
 def single_coin(reflectivity: float, theta0: float = 0.0, theta1: float = 0.0) -> np.ndarray:

@@ -140,7 +140,15 @@ def test_criterion_4a_ordered_growth_ratio():
     )
 
 
-def test_criterion_4b_binary_disorder_localizes():
+def test_criterion_4b_binary_disorder_spreads_slower_than_ordered():
+    """Binary 0/pi disorder, R = 0.5: the ensemble-mean Var(7) is at most
+    0.75 times the ordered walk's.
+
+    This is not a localization test.  Every mesh point draws its own phase,
+    so the disorder is dynamic and the ensemble spreads diffusively
+    (Var(k) close to k); diffusion meets the bound as well as localization
+    would, so the check says only that disorder slows the ballistic spread.
+    """
     started = time.perf_counter()
     ordered_var = _ordered_variances(STEPS, 0.5)[-1]
     spec = DisorderSpec(BINARY_0_PI, seed=MASTER_SEED, realization_count=100)
@@ -149,7 +157,7 @@ def test_criterion_4b_binary_disorder_localizes():
     elapsed = time.perf_counter() - started
     ok = disordered_var <= 0.75 * ordered_var and elapsed < 5.0
     _report(
-        "4b disorder localizes",
+        "4b binary disorder spreads slower than the ordered walk",
         ok,
         f"ordered {ordered_var:.3f}, disordered mean {disordered_var:.3f}, {elapsed:.2f}s",
     )
@@ -214,7 +222,7 @@ def test_criterion_7_similarity_properties():
         rows = []
         for step_number in range(1, STEPS + 1):
             raw = rng.random(step_number + 1)
-            rows.append(Distribution(step_number, raw / raw.sum()))
+            rows.append(Distribution(raw / raw.sum()))
         return DistributionSeries(tuple(rows))
 
     bounds_ok = True

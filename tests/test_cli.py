@@ -303,7 +303,7 @@ def test_numerical_violation_exits_two(tmp_path, monkeypatch, capsys):
         state = real(initial_coin, schedule, reflectivity)
         amplitudes = state.amplitudes.copy()
         amplitudes[state.step_index % 2, -1] += 1e-6  # the site +step_index
-        return WalkerState(amplitudes, state.step_index)
+        return WalkerState(amplitudes)
 
     monkeypatch.setattr(runner, "oracle_state", skewed)
     config = write_config(tmp_path / "run.json",
@@ -324,7 +324,7 @@ def test_norm_drift_exits_two(tmp_path, monkeypatch, capsys):
     def drifting(initial, schedule, reflectivity):
         trajectory = real(initial, schedule, reflectivity)
         state = trajectory[2]
-        trajectory[2] = WalkerState(state.amplitudes * (1 + 1e-6), state.step_index)
+        trajectory[2] = WalkerState(state.amplitudes * (1 + 1e-6))
         return trajectory
 
     monkeypatch.setattr(runner, "evolve", drifting)

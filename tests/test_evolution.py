@@ -48,7 +48,7 @@ def test_shift_moves_coin_one_up_and_inverts():
 
 def test_shift_is_linear_on_superpositions():
     a, b = 0.3 - 0.4j, 0.7 + 0.2j
-    state = apply_shift(WalkerState(np.array([[a], [b]]), 0))
+    state = apply_shift(WalkerState(np.array([[a], [b]])))
     assert state.amplitude(1, -1) == pytest.approx(a)
     assert state.amplitude(0, 1) == pytest.approx(b)
 
@@ -150,7 +150,7 @@ def test_step_is_linear():
     second = random_walker_state(2, rng)
     field = random_coin_field(reachable_sites(2), 0.5, rng)
     a, b = 0.6 - 0.1j, -0.3 + 0.8j
-    mixed = WalkerState(a * first.amplitudes + b * second.amplitudes, 2)
+    mixed = WalkerState(a * first.amplitudes + b * second.amplitudes)
     left = apply_shift(apply_coin_layer(mixed, field)).amplitudes
     right = (a * apply_shift(apply_coin_layer(first, field)).amplitudes
              + b * apply_shift(apply_coin_layer(second, field)).amplitudes)

@@ -22,7 +22,9 @@ from beamwalk import (
 
 
 def dist(step, probs):
-    return Distribution(step, np.asarray(probs, dtype=float))
+    row = Distribution(np.asarray(probs, dtype=float))
+    assert row.step == step
+    return row
 
 
 def series(*rows):
@@ -52,7 +54,7 @@ def test_three_step_distribution(ordered_walk):
 
 def test_coin_trace_is_divided_by_its_row_sum():
     # norm^2 = 0.72: the row still sums to 1, not to the state's norm
-    state = WalkerState(np.array([[0.6, 0.0], [0.0, 0.6]], dtype=complex), 1)
+    state = WalkerState(np.array([[0.6, 0.0], [0.0, 0.6]], dtype=complex))
     np.testing.assert_array_equal(position_distribution(state).probs, [0.5, 0.5])
 
 
@@ -168,18 +170,35 @@ def test_series_from_trajectory_rejects_states_out_of_order(ordered_walk):
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError, match="entries"):
-        dist(2, [0.5, 0.5])
     with pytest.raises(ValueError, match="nonnegative"):
         dist(1, [1.2, -0.2])
     with pytest.raises(ValueError, match="sum to 1"):
         dist(1, [0.7, 0.7])
     with pytest.raises(ValueError, match="increasing"):
         series((2, [0.25, 0.5, 0.25]), (1, [0.5, 0.5]))
-    with pytest.raises(ValueError, match="step must be >= 0"):
-        Distribution(-1, [])
+    with pytest.raises(ValueError, match="shape"):
+        Distribution([])
     with pytest.raises(ValueError, match="at least one step"):
         DistributionSeries(())
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_a_rows_step_is_its_length_minus_one(width):
+    probs = np.full(width, 1.0 / width)
+    assert Distribution(probs).step == width - 1
+    assert Distribution(probs).sites.tolist() == list(range(1 - width, width, 2))
+
+
+def test_a_separate_step_is_not_accepted():
+    # the row's length is the one record of the step
+    with pytest.raises(TypeError):
+        Distribution(1, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("probs", [np.empty(0), np.full((2, 2), 0.25)])
+def test_a_row_that_is_not_one_nonempty_axis_is_refused(probs):
+    with pytest.raises(ValueError, match=r"probs must have shape \(step \+ 1,\)"):
+        Distribution(probs)
 
 
 # NaN compares false with everything, so checks written as `probs < 0` or
@@ -187,12 +206,12 @@ def test_distribution_validation():
 @pytest.mark.parametrize("step,probs", [(0, [float("nan")]), (1, [float("nan"), 1.0])])
 def test_distribution_rejects_nan(step, probs):
     with pytest.raises(ValueError, match="probabilities must"):
-        Distribution(step, probs)
+        dist(step, probs)
 
 
 @pytest.mark.parametrize("fill", [0.0, float("nan"), float("inf")])
 def test_a_state_without_finite_power_is_refused_without_a_warning(fill, ordered_walk):
-    bad = WalkerState(np.full((2, 3), fill, dtype=complex), 2)
+    bad = WalkerState(np.full((2, 3), fill, dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="step-2 state has total power"):
@@ -248,5 +267,5 @@ def test_series_rows_are_read_only_views_of_one_array(ordered_walk):
                 row.probs[0] = 0.5
     # a distribution built by hand still keeps its own copy
     probs = np.array([0.25, 0.75])
-    built = Distribution(1, probs)
+    built = Distribution(probs)
     assert built.probs.flags.writeable and not np.shares_memory(built.probs, probs)

@@ -111,7 +111,7 @@ def test_step_is_linear_in_the_state(seed, scale):
     first = random_walker_state(2, rng)
     second = random_walker_state(2, rng)
     field = random_coin_field(range(-2, 3, 2), 0.44, rng)
-    mixed = WalkerState(first.amplitudes + scale * second.amplitudes, 2)
+    mixed = WalkerState(first.amplitudes + scale * second.amplitudes)
     left = apply_shift(apply_coin_layer(mixed, field)).amplitudes
     right = (apply_shift(apply_coin_layer(first, field)).amplitudes
              + scale * apply_shift(apply_coin_layer(second, field)).amplitudes)
@@ -155,7 +155,7 @@ def normalized_series_pair(draw):
     for step_number in sorted(steps):
         for rows in (rows_a, rows_b):
             raw = rng.random(step_number + 1) + 1e-12
-            rows.append(Distribution(step_number, raw / raw.sum()))
+            rows.append(Distribution(raw / raw.sum()))
     return DistributionSeries(tuple(rows_a)), DistributionSeries(tuple(rows_b))
 
 
@@ -178,8 +178,8 @@ def test_variance_reflection_invariance(seed, step_number):
     rng = np.random.default_rng(seed)
     raw = rng.random(step_number + 1)
     probs = raw / raw.sum()
-    forward = Distribution(step_number, probs)
-    mirrored = Distribution(step_number, probs[::-1])
+    forward = Distribution(probs)
+    mirrored = Distribution(probs[::-1])
     assert abs(variance(forward) - variance(mirrored)) < 1e-10
 
 

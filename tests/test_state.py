@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -46,50 +48,58 @@ def test_off_cone_sites_inside_the_lattice_read_zero():
 def test_amplitudes_are_copied_on_construction():
     amps = np.zeros((2, 1), dtype=complex)
     amps[1, 0] = 1.0
-    state = WalkerState(amps, 0)
+    state = WalkerState(amps)
     amps[1, 0] = 0.5
     assert state.amplitude(1, 0) == 1.0
 
 
-def test_a_handed_over_array_is_kept_and_checked():
+def test_a_handed_over_array_is_kept():
     # the path apply_shift takes for the array it has just allocated
     amps = np.zeros((2, 2), dtype=complex)
-    assert WalkerState._owning(amps, 1).amplitudes is amps
-    with pytest.raises(ValueError, match="shape"):
-        WalkerState._owning(amps, 0)
-    with pytest.raises(ValueError, match="step_index"):
-        WalkerState._owning(amps, -1)
+    assert WalkerState._owning(amps).amplitudes is amps
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_step_index_is_the_width_minus_one(width):
+    amps = np.zeros((2, width), dtype=complex)
+    assert WalkerState(amps).step_index == width - 1
+    assert WalkerState._owning(amps).step_index == width - 1
+    assert WalkerState(amps).sites.tolist() == list(range(1 - width, width, 2))
+
+
+def test_a_separate_step_is_not_accepted():
+    # the width is the one record of the step
+    with pytest.raises(TypeError):
+        WalkerState(np.zeros((2, 3), dtype=complex), 2)
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (3, 4), (2,), (2, 2, 2)])
+def test_an_array_off_the_two_row_layout_is_refused(shape):
+    message = rf"amplitudes must have shape \(2, step_index \+ 1\), got {re.escape(str(shape))}"
+    with pytest.raises(ValueError, match=message):
+        WalkerState(np.zeros(shape, dtype=complex))
 
 
 def test_wrong_shape_rejected():
     with pytest.raises(ValueError, match="shape"):
-        WalkerState(np.zeros((2, 6), dtype=complex), 0)
+        WalkerState(np.zeros((3, 6), dtype=complex))
 
 
 def test_step_index_out_of_bounds_rejected():
-    amps = np.zeros((2, 7), dtype=complex)
+    amps = np.zeros((2, 0), dtype=complex)
     with pytest.raises(ValueError, match="step_index"):
-        WalkerState(amps, -1)
+        WalkerState(amps)
 
 
 @pytest.mark.parametrize("site,step_index", [(1, 0), (0, 1), (2, 1), (3, 2)])
 def test_off_lightcone_population_rejected(site, step_index):
-    # an off-cone site has no column: only a wider array can hold it, and
-    # that array has the wrong shape
-    amps = np.zeros((2, 7), dtype=complex)
-    amps[0, site + 3] = 1.0
-    with pytest.raises(ValueError, match="shape"):
-        WalkerState(amps, step_index)
+    # an off-cone site has no column on the step's light cone
     with pytest.raises(ValueError, match="light cone"):
         delta_state(coin=0, site=site, step_index=step_index)
 
 
 def test_delta_state_refuses_a_negative_step_before_the_light_cone():
-    # the same one-line message the state itself gives
-    message = "step_index must be >= 0, got -1"
-    with pytest.raises(ValueError, match=message):
-        WalkerState(np.zeros((2, 0), dtype=complex), -1)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="step_index must be >= 0, got -1"):
         delta_state(1, step_index=-1)
     with pytest.raises(ValueError, match="site 3 is off the step-1 light cone"):
         delta_state(1, site=3, step_index=1)
