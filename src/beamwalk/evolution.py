@@ -153,8 +153,9 @@ def evolve(
     a state past the schedule's end is a ``ScheduleError`` before any
     step is taken.  ``coin_field``'s ``ValueError``s for R and the gauge
     are raised even when no step is left.  Each step's coins are
-    ``coin_field``'s stack bit for bit: a schedule of one phase broadcasts its
-    one splitter over each step's sites, filling no stack; others form blocks.
+    ``coin_field``'s stack bit for bit: a constant schedule (stride-0
+    ``phases``; see ``PhaseSchedule``) broadcasts its one splitter over each
+    step's sites, filling no stack; others form blocks.
     """
     if initial.step_index > schedule.num_steps:
         raise ScheduleError(f"schedule covers {schedule.num_steps} steps, but the state is at "
@@ -163,10 +164,9 @@ def evolve(
     trajectory = [initial]
     state = initial
     done = initial.step_index
-    # Phases of one bit pattern throughout (0.0 and -0.0 differ) make one
-    # splitter, broadcast over every remaining site: no stack is filled.
-    bits = schedule.phases[_mesh_points(done):].view(np.uint64)
-    constant = bits.size > 0 and bits.min() == bits.max()
+    # A constant schedule's one splitter is broadcast over every remaining
+    # site: no stack is filled.
+    constant = schedule.phases.strides == (0,)
     while done < schedule.num_steps:
         base = _mesh_points(done)
         if constant:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import base64
 import datetime
 import json
+import os
+import resource
 from pathlib import Path
 from typing import TextIO
 
@@ -151,7 +153,8 @@ def _write_bundle(out: TextIO, config: RunConfig, schedules: list[PhaseSchedule]
     for index, schedule in enumerate(schedules):
         # The base64 alphabet needs no JSON escaping.
         out.write('"' if index == 0 else ',"')
-        out.write(base64.b64encode(schedule.phases.astype("<f8", copy=False)).decode("ascii"))
+        # A constant schedule's stride-0 phases are packed here, one at a time.
+        out.write(base64.b64encode(np.ascontiguousarray(schedule.phases, "<f8")).decode("ascii"))
         out.write('"')
     out.write("]")
 
@@ -229,6 +232,19 @@ def _check_reference_steps(config: RunConfig, ref_config: RunConfig, source: str
         )
 
 
+def _check_trajectory_fits(num_steps: int) -> None:
+    """Refuse, as a ``MemoryError``, a walk whose trajectory alone exceeds
+    the soft address-space limit, or physical memory when none is set.
+    Steps 0..N hold 2(k+1) complex128 amplitudes each: 16(N+1)(N+2) bytes."""
+    need = 16 * (num_steps + 1) * (num_steps + 2)
+    limit, what = resource.getrlimit(resource.RLIMIT_AS)[0], "address-space limit"
+    if limit == resource.RLIM_INFINITY:
+        limit, what = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
+    if need > limit:
+        raise MemoryError(f"a {num_steps}-step walk's trajectory needs {need / 2**30:.3g} GiB, "
+                          f"more than the {limit / 2**30:.3g} GiB {what}")
+
+
 def _execute(
     config: RunConfig,
     schedules: list[PhaseSchedule],
@@ -236,8 +252,11 @@ def _execute(
     output_dir: str | Path | None,
 ) -> Path:
     """Write the requested data files, then the manifest, into
-    ``output_dir`` or else the config's.  The oracle check runs last, so a
-    failing check (exit 2) leaves every other file written."""
+    ``output_dir`` or else the config's.  A walk whose trajectory cannot
+    fit is refused before any file is written.  The oracle check runs last,
+    so a failing check (exit 2) leaves every other file written."""
+    # A reference run has the same steps, so one check covers both.
+    _check_trajectory_fits(config.steps)
     out_dir = Path(output_dir if output_dir is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     series_all, finals = _simulate(config, schedules)

@@ -44,7 +44,12 @@ class PhaseSchedule:
     (step, site-ascending) order: step k (1-based) owns the k entries
     ``phases[k(k-1)/2 : k(k+1)/2]``, one for each site i with |i| <= k-1
     and i + k - 1 even.  The array is read-only; two schedules are equal
-    when their step counts and phases are.
+    when their step counts and phases are.  Phases of one bit pattern
+    (0.0 and -0.0 differ) are kept as a stride-0 view of one copied phase,
+    so ``phases.strides == (0,)`` marks a constant schedule; any other
+    input is copied.  A stride-0 input is constant by construction and is
+    never scanned.  ``np.ascontiguousarray`` or ``.tobytes()`` gives the
+    packed bytes either way.
     """
 
     num_steps: int
@@ -53,14 +58,21 @@ class PhaseSchedule:
     def __post_init__(self) -> None:
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
-        phases = np.array(self.phases, dtype=np.float64)
+        phases = np.asarray(self.phases, dtype=np.float64)
         expected = (_mesh_points(self.num_steps),)
         if phases.shape != expected:
             raise ValueError(f"a {self.num_steps}-step schedule needs phases of shape "
                              f"{expected}, one per mesh point, got {phases.shape}")
-        if not np.all(np.isfinite(phases)):
+        bits = phases.view(np.uint64)
+        if phases.strides == (0,) or bits.min() == bits.max():
+            phases = np.broadcast_to(phases[:1].copy(), expected)
+            finite = math.isfinite(phases[0])
+        else:
+            phases = phases.copy()
+            phases.flags.writeable = False
+            finite = np.all(np.isfinite(phases))
+        if not finite:
             raise ValueError("schedule has a non-finite phase")
-        phases.flags.writeable = False
         object.__setattr__(self, "phases", phases)
 
     def __eq__(self, other: object) -> bool:
@@ -95,10 +107,11 @@ class DisorderSpec:
 
 
 def ordered_schedule(num_steps: int, theta: float) -> PhaseSchedule:
-    """Constant phase ``theta`` at every mesh point (the ordered walk)."""
+    """Constant phase ``theta`` at every mesh point (the ordered walk): the
+    one phase is stored once, as a stride-0 view, however many steps."""
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-    return PhaseSchedule(num_steps, np.full(_mesh_points(num_steps), float(theta)))
+    return PhaseSchedule(num_steps, np.broadcast_to(float(theta), (_mesh_points(num_steps),)))
 
 
 def disordered_schedule(

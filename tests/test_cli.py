@@ -2,8 +2,10 @@ import base64
 import datetime
 import gc
 import hashlib
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -546,8 +548,9 @@ def run_with_address_limit(limit_mib, *argv):
     src = str(Path(beamwalk.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    # The timeout only stops a child that hangs; no test bounds its time.
     return subprocess.run([sys.executable, "-c", CAPPED_CHILD, str(limit_mib), *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=300)
 
 
 def test_oracle_check_at_the_step_guard_fits_in_384_mib(tmp_path):
@@ -570,6 +573,40 @@ def test_run_that_does_not_fit_in_memory_exits_one_with_one_line(tmp_path):
     assert len(lines) == 1, result.stderr
     assert lines[0].startswith("beamwalk: config error: run does not fit in memory: ")
     assert "Traceback" not in result.stderr
+
+
+def test_an_ordered_walk_whose_trajectory_cannot_fit_is_refused_before_any_file(tmp_path):
+    # 10**9 steps: the schedule is one stride-0 phase, but the trajectory
+    # needs 1.6e19 bytes, so the run is refused before it writes anything
+    config = write_config(tmp_path / "run.json", steps=10**9)
+    result = run_with_address_limit(2048, "run", str(config))
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith("beamwalk: config error: run does not fit in memory: ")
+    assert "1000000000-step walk's trajectory" in lines[0]
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_without_an_address_limit_a_trajectory_is_held_to_physical_memory(monkeypatch):
+    unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+    monkeypatch.setattr(runner.resource, "getrlimit", lambda _: unlimited)
+    monkeypatch.setattr(runner.os, "sysconf",
+                        {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}.__getitem__)  # 1 GiB
+    runner._check_trajectory_fits(8000)  # 16 * 8001 * 8002 bytes, just under
+    with pytest.raises(MemoryError, match="physical memory"):
+        runner._check_trajectory_fits(8200)
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, 0.3])
+def test_an_ordered_manifest_holds_every_phase_of_the_walk(theta):
+    config = parse_config({"steps": 60, "reflectivity": 0.5,
+                           "schedule_mode": {"mode": "ordered", "theta": theta}})
+    out = io.StringIO()
+    runner._write_manifest(out, config, [ordered_schedule(60, theta)], None)
+    expected = base64.b64encode(np.full(1830, theta, "<f8").tobytes()).decode("ascii")
+    assert json.loads(out.getvalue())["schedules"] == [expected]
 
 
 def run_then_load_manifest(tmp_path, config):

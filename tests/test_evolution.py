@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import tracemalloc
 import weakref
@@ -22,8 +23,9 @@ from beamwalk import (
     ordered_schedule,
     position_distribution,
 )
-from beamwalk import evolution
+from beamwalk import evolution, runner
 from beamwalk.apparatus import reachable_sites
+from beamwalk.config import parse_config
 from conftest import prefix_schedule, random_coin_field, random_walker_state, single_coin
 
 BALANCED = single_coin(0.5)
@@ -375,6 +377,26 @@ def test_a_near_constant_schedule_takes_the_block_path(monkeypatch, kind):
     sizes = splitter_sizes(monkeypatch)
     evolve(initial_state(), schedule, 0.44)
     assert len(sizes) == 6 and sum(sizes) == schedule.phases.size
+
+
+def test_a_replayed_ordered_manifest_walks_one_splitter_bit_for_bit(monkeypatch, tmp_path):
+    # the manifest holds every phase; decoding it gives back a stride-0 schedule
+    config = parse_config({"steps": 60, "reflectivity": 0.44,
+                           "schedule_mode": {"mode": "ordered", "theta": 1.1}})
+    manifest = runner.run(config, output_dir=tmp_path / "run")
+    _, [schedule] = runner._read_bundle(json.loads(manifest.read_text()), str(manifest))
+    assert schedule.phases.strides == (0,)
+    expected = stepwise(initial_state(), schedule, 0.44, 0.0)
+    sizes = splitter_sizes(monkeypatch)
+    walked = evolve(initial_state(), schedule, 0.44)
+    assert sizes == [1]
+    assert [state.amplitudes.tobytes() for state in walked] == \
+        [state.amplitudes.tobytes() for state in expected]
+    sizes.clear()
+    runner.replay(manifest, output_dir=tmp_path / "replayed")
+    assert sizes == [1]
+    assert (tmp_path / "replayed" / "distributions.csv").read_bytes() == \
+        (tmp_path / "run" / "distributions.csv").read_bytes()
 
 
 @pytest.mark.parametrize("step_index", [0, 1, 4, 9, 60])

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +187,74 @@ def test_equality_is_by_value():
     assert ordered_schedule(3, 0.5) != ordered_schedule(3, 0.25)
     assert ordered_schedule(2, 0.5) != ordered_schedule(3, 0.5)
     assert ordered_schedule(2, 0.5) != "schedule"
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, math.pi])
+def test_an_ordered_schedule_stores_its_one_phase_once(theta):
+    # 1500 steps are 1,125,750 phases: 9 MB as a full array
+    tracemalloc.start()
+    try:
+        schedule = ordered_schedule(1500, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert schedule.phases.shape == (1125750,)
+    assert schedule.phases.strides == (0,)
+    assert not schedule.phases.flags.writeable
+    assert schedule.row(1500).tobytes() == np.full(1500, theta).tobytes()
+
+
+def test_a_constant_list_or_buffer_becomes_one_copied_phase():
+    listed = [0.3] * 6
+    buffered = np.frombuffer(bytearray(np.full(6, 0.3).tobytes()), np.float64)
+    for source in (listed, buffered):
+        schedule = PhaseSchedule(3, source)
+        assert schedule.phases.strides == (0,)
+        source[0] = 1.1
+        source[5] = 1.1
+        assert schedule.phases.tolist() == [0.3] * 6
+        with pytest.raises(ValueError, match="read-only"):
+            schedule.phases[0] = 1.1
+
+
+@pytest.mark.parametrize("phases", [
+    [0.0, -0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.3] * 5 + [math.nextafter(0.3, 1.0)],
+], ids=["signed zeros", "near constant"])
+def test_phases_of_two_bit_patterns_stay_a_contiguous_copy(phases):
+    source = np.array(phases)
+    schedule = PhaseSchedule(3, source)
+    assert schedule.phases.strides == (8,)
+    assert schedule.phases.flags.c_contiguous and not schedule.phases.flags.writeable
+    assert not np.shares_memory(schedule.phases, source)
+    assert schedule.phases.tobytes() == source.tobytes()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_constant_non_finite_phase_is_refused(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        PhaseSchedule(3, [value] * 6)
+    with pytest.raises(ValueError, match="non-finite"):
+        ordered_schedule(3, value)
+
+
+# 10**9 steps are 5 * 10**17 phases: no copy of them can be allocated, and
+# no pass over them would end, so the child either builds the schedule
+# from its one phase or fails.
+BROADCAST_CHILD = """
+import numpy as np
+from beamwalk import PhaseSchedule
+points = 10**9 * (10**9 + 1) // 2
+schedule = PhaseSchedule(10**9, np.broadcast_to(0.0, (points,)))
+assert schedule.phases.strides == (0,) and schedule.phases.size == points
+assert schedule.row(10**9).shape == (10**9,)
+"""
+
+
+def test_a_broadcast_phase_is_taken_without_a_pass_over_its_points():
+    src = str(Path(schedules.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", BROADCAST_CHILD], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert result.returncode == 0, result.stderr
