@@ -19,6 +19,7 @@ import beamwalk
 from beamwalk import (
     BINARY_0_PI,
     DisorderSpec,
+    NumericalInvariantError,
     PhaseSchedule,
     WalkerState,
     disordered_schedule,
@@ -336,6 +337,65 @@ def test_norm_drift_exits_two(tmp_path, monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "norm drift" in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_a_nan_norm_drift_exits_two(tmp_path, monkeypatch, capsys):
+    import beamwalk.runner as runner
+
+    real = runner.evolve
+
+    def poisoned(initial, schedule, reflectivity):
+        trajectory = real(initial, schedule, reflectivity)
+        amplitudes = trajectory[2].amplitudes.copy()
+        amplitudes[0, 0] = np.nan
+        trajectory[2] = WalkerState(amplitudes)
+        return trajectory
+
+    monkeypatch.setattr(runner, "evolve", poisoned)
+    config = write_config(tmp_path / "run.json")
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "norm drift nan at step 2" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_a_nan_oracle_deviation_fails_the_check(tmp_path):
+    import beamwalk.runner as runner
+
+    config = parse_config({"steps": 4, "reflectivity": 0.5,
+                           "schedule_mode": {"mode": "disordered", "seed": 5,
+                                             "realization_count": 3}})
+    schedules = runner._schedules_for(config)
+    _, finals = runner._simulate(config, schedules)
+    amplitudes = finals[0].amplitudes.copy()
+    amplitudes[1, 2] = np.nan
+    finals[0] = WalkerState(amplitudes)
+    path = tmp_path / "oracle_check.txt"
+    with pytest.raises(NumericalInvariantError, match="deviates by nan"):
+        runner._oracle_check(config, schedules, finals, path)
+    lines = path.read_text().splitlines()
+    # the finite deviations after it do not hide the NaN
+    assert lines[1] == "realization 0 max_deviation nan"
+    assert lines[-2:] == ["overall_max_deviation nan", "status fail"]
+
+
+def test_a_nan_oracle_deviation_exits_two(tmp_path, monkeypatch, capsys):
+    import beamwalk.runner as runner
+
+    real = runner.oracle_state
+
+    def poisoned(initial_coin, schedule, reflectivity):
+        amplitudes = real(initial_coin, schedule, reflectivity).amplitudes.copy()
+        amplitudes[0, 0] = np.nan
+        return WalkerState(amplitudes)
+
+    monkeypatch.setattr(runner, "oracle_state", poisoned)
+    config = write_config(tmp_path / "run.json", outputs=["oracle_check"])
+    assert main(["run", str(config)]) == 2
+    assert "deviates by nan" in capsys.readouterr().err
+    text = (tmp_path / "out" / "oracle_check.txt").read_text()
+    assert text.endswith("overall_max_deviation nan\nstatus fail\n")
 
 
 # A manifest exactly as beamwalk 0.2.0 wrote it, with the two settings that

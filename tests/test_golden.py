@@ -84,6 +84,17 @@ ORACLE_SHA256 = {
         lambda: ordered_schedule(9, 0.3), 0.3, 0,
         "361464d35129837aaf2166608275f29c2c4ea99a273e29e9f135a3df75240cba",
     ),
+    # The enumeration guard's size, and the benchmark's oracle walk (N=16,
+    # R=0.5, coin 1); recorded from the (prefix, port) broadcast loop that
+    # preceded the flat per-port entry tables.
+    "uniform-seed1-R0.44-N20-coin1": (
+        lambda: disordered_schedule(20, DisorderSpec(UNIFORM_0_2PI, 1, 1), 0), 0.44, 1,
+        "4c6edcc161e49dc15c94cfac5cacd9f0c83061516010fda32d70a0bc6474aaf1",
+    ),
+    "uniform-seed1-R0.5-N16-coin1": (
+        lambda: disordered_schedule(16, DisorderSpec(UNIFORM_0_2PI, 1, 1), 0), 0.5, 1,
+        "79776f03f308b6c2231a2037b16605c7de36bd15c68cfad76774c597ee7cf396",
+    ),
 }
 
 # enumerate_paths(1, uniform seed 7 N=7, R=0.3) in record order: the

@@ -267,15 +267,20 @@ def test_records_are_the_scalar_recursions_leaves_in_order(initial_coin):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    num_steps=st.integers(min_value=1, max_value=10),
+    num_steps=st.integers(min_value=1, max_value=12),
+    kind=st.sampled_from(["ordered", BINARY_0_PI, UNIFORM_0_2PI]),
     reflectivity=st.one_of(st.sampled_from([0.0, 1.0]),
                            st.floats(min_value=0.0, max_value=1.0)),
     initial_coin=st.sampled_from([0, 1]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    theta=st.floats(min_value=-2 * np.pi, max_value=2 * np.pi),
 )
-def test_path_sum_bytes_equal_the_scalar_recursion(num_steps, reflectivity, initial_coin,
-                                                   seed):
-    schedule = disordered_schedule(num_steps, DisorderSpec(UNIFORM_0_2PI, seed, 1), 0)
+def test_path_sum_bytes_equal_the_scalar_recursion(num_steps, kind, reflectivity,
+                                                   initial_coin, seed, theta):
+    if kind == "ordered":
+        schedule = ordered_schedule(num_steps, theta)
+    else:
+        schedule = disordered_schedule(num_steps, DisorderSpec(kind, seed, 1), 0)
     summed = oracle_state(initial_coin, schedule, reflectivity)
     expected = scalar_path_sum(initial_coin, schedule, reflectivity)
     assert summed.amplitudes.tobytes() == expected.tobytes()
