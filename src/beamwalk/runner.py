@@ -6,6 +6,8 @@ bytes, so any run can be replayed bit-for-bit from its manifest alone,
 without regenerating disorder from the seed.  The manifest is written
 one schedule at a time, in the same bytes as one ``json.dumps`` of the
 whole document, and replay releases the parsed manifest before it runs.
+One writer, ``_write_text``, opens every file a run writes; each table
+reaches it as a stream of lines, written row by row as they are formed.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import json
 import math
 import os
 import resource
+from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .measure import (
     series_from_trajectory,
     similarity,
     variance,  # noqa: F401  perfbench's tracer and its tests look this name up here
-    variance_series,
 )
 from .oracle import oracle_state
 from .schedules import PhaseSchedule, _mesh_points, ensemble_schedules, ordered_schedule
@@ -51,8 +52,11 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` as they are formed.  Every file a run
+    writes goes through here; a table's chunks each end in a newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.writelines(chunks)
 
 
 def _schedules_for(config: RunConfig) -> list[PhaseSchedule]:
@@ -83,28 +87,27 @@ def _simulate(
     return series_all, finals
 
 
-def _write_distributions(path: Path, series: DistributionSeries, to_step_max: bool) -> None:
-    lines = ["step,site,p"]
+def _distributions_csv(series: DistributionSeries, to_step_max: bool) -> Iterator[str]:
+    yield "step,site,p\n"
     for row in series.rows:
-        values = row.probs
+        step, values = row.step, row.probs
         if to_step_max:
             values = values / values.max()
-        lines.extend(f"{row.step},{site},{_fmt(p)}"
-                     for site, p in zip(row.sites.tolist(), values.tolist()))
-    _write_lines(path, lines)
+        yield "".join(f"{step},{site},{_fmt(p)}\n"
+                      for site, p in zip(range(-step, step + 1, 2), values.tolist()))
 
 
-def _write_variances(path: Path, steps: tuple[int, ...], variances: list[float]) -> None:
-    lines = ["step,variance"]
-    lines.extend(f"{step},{_fmt(value)}" for step, value in zip(steps, variances))
-    _write_lines(path, lines)
+def _variances_csv(variances: np.ndarray) -> Iterator[str]:
+    """The table of ``variances``, the values of steps 1..N in order."""
+    yield "step,variance\n"
+    for step, value in enumerate(variances.tolist(), start=1):
+        yield f"{step},{_fmt(value)}\n"
 
 
-def _write_layout(path: Path, num_steps: int) -> None:
-    lines = ["step,site,coin,interferometer,plane,direction"]
+def _layout_csv(num_steps: int) -> Iterator[str]:
+    yield "step,site,coin,interferometer,plane,direction\n"
     for step, site, coin, interferometer, plane, direction in layout_table(num_steps):
-        lines.append(f"{step},{site},{coin},{interferometer},{plane},{direction}")
-    _write_lines(path, lines)
+        yield f"{step},{site},{coin},{interferometer},{plane},{direction}\n"
 
 
 def _oracle_check(
@@ -113,7 +116,7 @@ def _oracle_check(
     finals: list[WalkerState],
     path: Path,
 ) -> None:
-    lines = [f"tolerance {_fmt(ORACLE_TOLERANCE)}"]
+    lines = [f"tolerance {_fmt(ORACLE_TOLERANCE)}\n"]
     worst = 0.0
     for index, (schedule, final) in enumerate(zip(schedules, finals)):
         reference = oracle_state(config.initial_coin, schedule, config.reflectivity)
@@ -121,11 +124,11 @@ def _oracle_check(
         # max(worst, nan) would keep worst: a NaN deviation must stay the worst.
         if deviation > worst or math.isnan(deviation):
             worst = deviation
-        lines.append(f"realization {index} max_deviation {_fmt(deviation)}")
-    lines.append(f"overall_max_deviation {_fmt(worst)}")
+        lines.append(f"realization {index} max_deviation {_fmt(deviation)}\n")
+    lines.append(f"overall_max_deviation {_fmt(worst)}\n")
     passed = worst <= ORACLE_TOLERANCE
-    lines.append("status " + ("pass" if passed else "fail"))
-    _write_lines(path, lines)
+    lines.append("status pass\n" if passed else "status fail\n")
+    _write_text(path, lines)
     if not passed:
         raise NumericalInvariantError(
             f"path-sum check deviates by {worst:.3e} (tolerance {ORACLE_TOLERANCE:.0e}); "
@@ -133,43 +136,36 @@ def _oracle_check(
         )
 
 
-def _write_similarity(path: Path, mean: DistributionSeries,
-                      reference_mean: DistributionSeries) -> None:
-    value = similarity(mean, reference_mean)
-    partials = bhattacharyya_partials(mean, reference_mean)
-    lines = [f"similarity {_fmt(value)}"]
-    for step, partial in zip(mean.steps, partials):
-        lines.append(f"step {step} partial {_fmt(partial)}")
-    _write_lines(path, lines)
+def _similarity_txt(mean: DistributionSeries,
+                    reference_mean: DistributionSeries) -> Iterator[str]:
+    """Compares the two series over steps 1..N; step 0 is the same for any walk."""
+    mean, reference_mean = (DistributionSeries(s.rows[1:]) for s in (mean, reference_mean))
+    yield f"similarity {_fmt(similarity(mean, reference_mean))}\n"
+    for step, partial in zip(mean.steps, bhattacharyya_partials(mean, reference_mean)):
+        yield f"step {step} partial {_fmt(partial)}\n"
 
 
-def _walk_steps(series: DistributionSeries) -> DistributionSeries:
-    """``series`` without its step-0 row."""
-    return DistributionSeries(series.rows[1:])
-
-
-def _write_bundle(out: TextIO, config: RunConfig, schedules: list[PhaseSchedule]) -> None:
-    """Write a manifest's run entry, ``"config":...,"schedules":[...]``: the
+def _bundle_json(config: RunConfig, schedules: list[PhaseSchedule]) -> Iterator[str]:
+    """A manifest's run entry, ``"config":...,"schedules":[...]``: the
     config echo and the exact phases, each schedule as one ASCII base64
     string of its little-endian float64 bytes, encoded as it is written."""
-    out.write('"config":' + json.dumps(config_echo(config), separators=(",", ":"))
-              + ',"schedules":[')
+    yield ('"config":' + json.dumps(config_echo(config), separators=(",", ":"))
+           + ',"schedules":[')
     for index, schedule in enumerate(schedules):
         # The base64 alphabet needs no JSON escaping.
-        out.write('"' if index == 0 else ',"')
+        yield '"' if index == 0 else ',"'
         # A constant schedule's stride-0 phases are packed here, one at a time.
-        out.write(base64.b64encode(np.ascontiguousarray(schedule.phases, "<f8")).decode("ascii"))
-        out.write('"')
-    out.write("]")
+        yield base64.b64encode(np.ascontiguousarray(schedule.phases, "<f8")).decode("ascii")
+        yield '"'
+    yield "]"
 
 
-def _write_manifest(
-    out: TextIO,
+def _manifest_json(
     config: RunConfig,
     schedules: list[PhaseSchedule],
     reference: tuple[RunConfig, list[PhaseSchedule]] | None,
-) -> None:
-    """Write the manifest to ``out`` one schedule at a time.  The text is
+) -> Iterator[str]:
+    """The manifest, one schedule at a time.  The text is
     ``json.dumps(manifest, separators=(",", ":")) + "\n"`` of the document
     ``{artifact, created_utc, config, schedules, reference}``, whose
     ``reference`` is null or a ``{config, schedules}`` object, but no more
@@ -177,16 +173,14 @@ def _write_manifest(
     head = json.dumps({"artifact": {"name": "beamwalk", "version": __version__},
                        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()},
                       separators=(",", ":"))
-    out.write(head[:-1] + ",")
-    _write_bundle(out, config, schedules)
-    out.write(',"reference":')
+    yield head[:-1] + ","
+    yield from _bundle_json(config, schedules)
     if reference is None:
-        out.write("null")
+        yield ',"reference":null}\n'
     else:
-        out.write("{")
-        _write_bundle(out, *reference)
-        out.write("}")
-    out.write("}\n")
+        yield ',"reference":{'
+        yield from _bundle_json(*reference)
+        yield "}}\n"
 
 
 def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
@@ -218,7 +212,7 @@ def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
 
 
 def _read_bundle(bundle: dict, source: str) -> tuple[RunConfig, list[PhaseSchedule]]:
-    """Decode a run entry that ``_write_bundle`` wrote: its config and schedules."""
+    """Decode a run entry that ``_bundle_json`` wrote: its config and schedules."""
     config = parse_config(bundle.get("config"), source=f"{source}:config")
     raw = bundle.get("schedules", [])
     expected = 1 if config.disorder is None else config.disorder.realization_count
@@ -268,30 +262,28 @@ def _execute(
 
     for item in config.outputs:
         if item == "distributions":
-            _write_distributions(out_dir / "distributions.csv", mean,
-                                 config.normalize_to_step_max)
+            _write_text(out_dir / "distributions.csv",
+                        _distributions_csv(mean, config.normalize_to_step_max))
         elif item == "variances":
-            steps = mean.steps[1:]
-            _write_variances(out_dir / "variances.csv", steps,
-                             variance_series(_walk_steps(mean)))
-            if config.disorder is not None:
-                # Column 0 of the table is step 0, which the files leave out.
-                for j, variances in enumerate(_variance_table(series_all)[:, 1:]):
-                    _write_variances(out_dir / f"variances_r{j}.csv", steps,
-                                     variances.tolist())
+            # Row 0 is the mean and each further row a realization; column 0
+            # is step 0, which the files leave out.
+            runs = [mean] if config.disorder is None else [mean, *series_all]
+            table = _variance_table(runs)[:, 1:]
+            _write_text(out_dir / "variances.csv", _variances_csv(table[0]))
+            for j, variances in enumerate(table[1:]):
+                _write_text(out_dir / f"variances_r{j}.csv", _variances_csv(variances))
         elif item == "layout":
-            _write_layout(out_dir / "layout.csv", config.steps)
+            _write_text(out_dir / "layout.csv", _layout_csv(config.steps))
     if reference is not None:
         ref_config, ref_schedules = reference
         ref_series, _ = _simulate(ref_config, ref_schedules)
-        _write_similarity(out_dir / "similarity.txt", _walk_steps(mean),
-                          _walk_steps(ensemble_mean_series(ref_series)))
+        _write_text(out_dir / "similarity.txt",
+                    _similarity_txt(mean, ensemble_mean_series(ref_series)))
     if "oracle_check" in config.outputs:
         _oracle_check(config, schedules, finals, out_dir / "oracle_check.txt")
 
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as out:
-        _write_manifest(out, config, schedules, reference)
+    _write_text(manifest_path, _manifest_json(config, schedules, reference))
     return manifest_path
 
 

@@ -2,7 +2,6 @@ import base64
 import datetime
 import gc
 import hashlib
-import io
 import json
 import os
 import resource
@@ -434,6 +433,42 @@ def test_a_0_2_0_manifest_replays_to_the_same_bytes(tmp_path):
     assert digests == MANIFEST_0_2_0_SHA256
 
 
+# label -> (config, sha256 of each table it writes).  Recorded from the
+# writers that joined a whole file before writing it.  R = 0.44 keeps every
+# 12-digit value off a dyadic tie, so the bytes do not follow numpy's
+# dispatched CPU loops.
+TABLE_SHA256 = {
+    "layout": ({"steps": 6, "reflectivity": 0.44, "outputs": ["layout"]}, {
+        "layout.csv": "75513dfe0613477e2859848c0d1fa4b79b6c69de8ad67e8cefe8c14e242d862b",
+    }),
+    "ordered_to_step_max": ({"steps": 20, "reflectivity": 0.44, "normalize_to_step_max": True,
+                             "schedule_mode": {"mode": "ordered", "theta": 0.3},
+                             "outputs": ["distributions"]}, {
+        "distributions.csv": "71d99eb2b87579cf6e31e1f3b2945f0ee57ff8cc27b13a1f304dbcf6f2ee8e16",
+    }),
+    "ensemble_to_step_max": ({"steps": 20, "reflectivity": 0.44, "normalize_to_step_max": True,
+                              "schedule_mode": {"mode": "disordered", "kind": "uniform_0_2pi",
+                                                "seed": 11, "realization_count": 3},
+                              "outputs": ["distributions", "variances"]}, {
+        "distributions.csv": "4380a658a990bce508005c061c1e8fa6265a0238ebc1e63780f47e4a5612ba8e",
+        "variances.csv": "c3a0c74a824c605509289858d42af1064c7a94179a47ab7d142ca10fd0c5b173",
+        "variances_r0.csv": "89a8af1e7c57c521a6de7ef2566719e9dfcb99f6da57b70891c2ea29c1356d65",
+        "variances_r1.csv": "0aa097a67598850a07d6b419b629b15ffdeb2946f3b6719eec1999947b645f71",
+        "variances_r2.csv": "4484a813339b991208c54ae8d78d67055ef2e08e3e20f7cfd2629a21de32b5d5",
+    }),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TABLE_SHA256))
+def test_tables_match_recorded_digests(tmp_path, label):
+    document, expected = TABLE_SHA256[label]
+    runner.run(parse_config(document), output_dir=tmp_path)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([*expected, "manifest.json"])
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in expected}
+    assert digests == expected
+
+
 
 FROZEN_UTC = datetime.datetime(2026, 1, 2, 3, 4, 5, 678901, tzinfo=datetime.timezone.utc)
 
@@ -520,13 +555,27 @@ def test_writing_a_manifest_holds_about_one_schedule_of_base64(tmp_path):
     path = tmp_path / "manifest.json"
     tracemalloc.start()
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
-            runner._write_manifest(out, config, schedules, None)
+        runner._write_text(path, runner._manifest_json(config, schedules, None))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert path.stat().st_size > 100 * one
     assert peak < 10 * one
+
+
+def test_writing_a_distributions_table_holds_about_one_row(tmp_path):
+    trajectory = evolve(initial_state(), ordered_schedule(300, 0.3), 0.5)
+    series = series_from_trajectory(trajectory)
+    del trajectory
+    path = tmp_path / "distributions.csv"
+    tracemalloc.start()
+    try:
+        runner._write_text(path, runner._distributions_csv(series, False))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text().count("\n") == 1 + 301 * 302 // 2
+    assert peak < 2**20
 
 
 def test_replay_releases_the_parsed_manifest_before_the_run(tmp_path, monkeypatch):
@@ -663,10 +712,9 @@ def test_without_an_address_limit_a_trajectory_is_held_to_physical_memory(monkey
 def test_an_ordered_manifest_holds_every_phase_of_the_walk(theta):
     config = parse_config({"steps": 60, "reflectivity": 0.5,
                            "schedule_mode": {"mode": "ordered", "theta": theta}})
-    out = io.StringIO()
-    runner._write_manifest(out, config, [ordered_schedule(60, theta)], None)
+    text = "".join(runner._manifest_json(config, [ordered_schedule(60, theta)], None))
     expected = base64.b64encode(np.full(1830, theta, "<f8").tobytes()).decode("ascii")
-    assert json.loads(out.getvalue())["schedules"] == [expected]
+    assert json.loads(text)["schedules"] == [expected]
 
 
 def run_then_load_manifest(tmp_path, config):

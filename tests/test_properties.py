@@ -1,6 +1,5 @@
 """Property-based checks of the core invariants."""
 
-import io
 import json
 import math
 
@@ -31,7 +30,7 @@ from beamwalk import (
 )
 from beamwalk.config import parse_config
 from beamwalk.measure import _variance_table
-from beamwalk.runner import _read_bundle, _write_manifest
+from beamwalk.runner import _manifest_json, _read_bundle
 from conftest import random_coin_field, random_walker_state
 
 reflectivities = st.one_of(
@@ -220,9 +219,8 @@ def test_manifest_schedules_round_trip_bit_for_bit(ensemble):
     config = parse_config({"steps": num_steps, "reflectivity": 0.5,
                            "schedule_mode": {"mode": "disordered", "seed": 0,
                                              "realization_count": len(phases)}})
-    out = io.StringIO()
-    _write_manifest(out, config, [PhaseSchedule(num_steps, p) for p in phases], None)
-    read_config, schedules = _read_bundle(json.loads(out.getvalue()), "manifest.json")
+    text = "".join(_manifest_json(config, [PhaseSchedule(num_steps, p) for p in phases], None))
+    read_config, schedules = _read_bundle(json.loads(text), "manifest.json")
     assert read_config == config
     assert len(schedules) == len(phases)
     for schedule, written in zip(schedules, phases):
