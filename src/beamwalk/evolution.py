@@ -149,7 +149,7 @@ def evolve(
     The trajectory ends on the final shift: no trailing coin layer is
     applied, matching a network read out right after the last splitter
     row.  Phases are packed step by step, so the first k steps of a walk
-    are the walk of ``PhaseSchedule(k, schedule.phases[:k * (k + 1) // 2])``;
+    are the walk of ``PhaseSchedule(schedule.phases[:k * (k + 1) // 2])``;
     a state past the schedule's end is a ``ScheduleError`` before any
     step is taken.  ``coin_field``'s ``ValueError``s for R and the gauge
     are raised even when no step is left.  Each step's coins are

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -108,22 +108,20 @@ def _measure(states: Sequence[WalkerState]) -> tuple[Distribution, ...]:
 
 @dataclass(frozen=True, eq=False)
 class DistributionSeries:
-    """Distributions at an ordered selection of steps."""
+    """Distributions at an ordered selection of steps, and those steps."""
 
     rows: tuple[Distribution, ...]
+    steps: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         rows = tuple(self.rows)
         if not rows:
             raise ValueError("a series needs at least one step")
-        steps = [row.step for row in rows]
-        if len(set(steps)) != len(steps) or steps != sorted(steps):
-            raise ValueError(f"series steps must be strictly increasing, got {steps}")
+        steps = tuple(row.step for row in rows)
+        if len(set(steps)) != len(steps) or list(steps) != sorted(steps):
+            raise ValueError(f"series steps must be strictly increasing, got {list(steps)}")
         object.__setattr__(self, "rows", rows)
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        return tuple(row.step for row in self.rows)
+        object.__setattr__(self, "steps", steps)
 
 
 def position_distribution(state: WalkerState) -> Distribution:

@@ -183,43 +183,41 @@ def _manifest_json(
         yield "}}\n"
 
 
-def _schedule_from_json(raw, num_steps: int, source: str) -> PhaseSchedule:
-    """Decode one serialized schedule: the packed phases of a
-    ``num_steps``-step walk, as ``PhaseSchedule.phases`` orders them.
-
-    A string is the 0.3 format, the canonical base64 of exactly N(N+1)/2
-    little-endian float64 values; a flat list of numbers is the 0.2 format.
-    """
+def _schedule_from_json(raw, source: str) -> PhaseSchedule:
+    """Decode one serialized schedule, packed as ``PhaseSchedule.phases``:
+    a string is the 0.3 format, the canonical base64 of little-endian
+    float64 phases; a flat list of numbers is the 0.2 format."""
     try:
         if isinstance(raw, str):
             data = base64.b64decode(raw.encode("ascii"), validate=True)
-            expected = 8 * _mesh_points(num_steps)
-            if len(data) != expected:
-                raise ValueError(f"expected {expected} bytes of float64 phases, "
-                                 f"got {len(data)}")
             if base64.b64encode(data).decode("ascii") != raw:
                 raise ValueError("not the canonical base64 of its bytes (extra padding or bits)")
-            return PhaseSchedule(num_steps, np.frombuffer(data, "<f8"))
+            return PhaseSchedule(np.frombuffer(data, "<f8"))
         if not isinstance(raw, list):
             raise TypeError("expected a base64 string (the 0.3 format) or a flat list "
                             f"of phases (the 0.2 format), got {type(raw).__name__}")
         for phase in raw:
             if not is_finite_number(phase):
                 raise ValueError(f"expected a finite number, got {phase!r}")
-        return PhaseSchedule(num_steps, raw)
+        return PhaseSchedule(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: bad serialized schedule: {exc}") from exc
 
 
 def _read_bundle(bundle: dict, source: str) -> tuple[RunConfig, list[PhaseSchedule]]:
-    """Decode a run entry that ``_bundle_json`` wrote: its config and schedules."""
+    """Decode a run entry that ``_bundle_json`` wrote: its config, checked to
+    fit before any schedule is decoded, and its schedules, of the config's steps."""
     config = parse_config(bundle.get("config"), source=f"{source}:config")
+    _check_trajectory_fits(config)
     raw = bundle.get("schedules", [])
     expected = 1 if config.disorder is None else config.disorder.realization_count
     if not isinstance(raw, list) or len(raw) != expected:
         found = len(raw) if isinstance(raw, list) else repr(raw)
         raise ConfigError(f"{source}: expected {expected} serialized schedule(s), found {found}")
-    return config, [_schedule_from_json(obj, config.steps, source) for obj in raw]
+    schedules = [_schedule_from_json(obj, source) for obj in raw]
+    if any(schedule.num_steps != config.steps for schedule in schedules):
+        raise ConfigError(f"{source}: bad serialized schedule: phases not of {config.steps} steps")
+    return config, schedules
 
 
 def _check_reference_steps(config: RunConfig, ref_config: RunConfig, source: str) -> None:
@@ -230,17 +228,21 @@ def _check_reference_steps(config: RunConfig, ref_config: RunConfig, source: str
         )
 
 
-def _check_trajectory_fits(num_steps: int) -> None:
-    """Refuse, as a ``MemoryError``, a walk whose trajectory alone exceeds
-    the soft address-space limit, or physical memory when none is set.
-    Steps 0..N hold 2(k+1) complex128 amplitudes each: 16(N+1)(N+2) bytes."""
-    need = 16 * (num_steps + 1) * (num_steps + 2)
+def _check_trajectory_fits(config: RunConfig) -> None:
+    """Refuse, as a ``MemoryError``, an N-step run of R realizations whose
+    R schedules of 8N(N+1)/2 bytes (8 if ordered), R + 1 series of 4(N+1)(N+2)
+    (the realizations and their mean) and one 16(N+1)(N+2)-byte trajectory
+    exceed the soft address-space limit, or physical memory when none is set."""
+    steps = config.steps
+    count = 1 if config.disorder is None else config.disorder.realization_count
+    phases = 8 if config.disorder is None else count * 8 * _mesh_points(steps)
+    need = phases + (count + 1) * 4 * (steps + 1) * (steps + 2) + 16 * (steps + 1) * (steps + 2)
     limit, what = resource.getrlimit(resource.RLIMIT_AS)[0], "address-space limit"
     if limit == resource.RLIM_INFINITY:
         limit, what = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
     if need > limit:
-        raise MemoryError(f"a {num_steps}-step walk's trajectory needs {need / 2**30:.3g} GiB, "
-                          f"more than the {limit / 2**30:.3g} GiB {what}")
+        raise MemoryError(f"a {steps}-step walk's trajectory and {count} realization(s) need "
+                          f"{need / 2**30:.3g} GiB, more than the {limit / 2**30:.3g} GiB {what}")
 
 
 def _execute(
@@ -250,11 +252,8 @@ def _execute(
     output_dir: str | Path | None,
 ) -> Path:
     """Write the requested data files, then the manifest, into
-    ``output_dir`` or else the config's.  A walk whose trajectory cannot
-    fit is refused before any file is written.  The oracle check runs last,
-    so a failing check (exit 2) leaves every other file written."""
-    # A reference run has the same steps, so one check covers both.
-    _check_trajectory_fits(config.steps)
+    ``output_dir`` or else the config's.  The oracle check runs last, so a
+    failing check (exit 2) leaves every other file written."""
     out_dir = Path(output_dir if output_dir is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     series_all, finals = _simulate(config, schedules)
@@ -295,15 +294,17 @@ def run(
     """Execute a run; returns the path of the manifest it wrote.
 
     ``base_dir`` anchors relative similarity_vs references (defaults to
-    the working directory); ``output_dir`` overrides the config's.  A
-    reference that cannot be read, or whose steps differ, is refused
-    before any schedule is drawn.
+    the working directory); ``output_dir`` overrides the config's.  A run
+    or reference that cannot fit in memory, or a reference that cannot be
+    read or whose steps differ, is refused before any schedule is drawn.
     """
+    _check_trajectory_fits(config)
     reference = None
     if config.similarity_vs is not None:
         ref_path = Path(base_dir if base_dir is not None else Path.cwd()) / config.similarity_vs
         ref_config = load_config(ref_path)
         _check_reference_steps(config, ref_config, str(ref_path))
+        _check_trajectory_fits(ref_config)
         reference = (ref_config, _schedules_for(ref_config))
     return _execute(config, _schedules_for(config), reference, output_dir)
 

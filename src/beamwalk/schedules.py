@@ -9,7 +9,7 @@ walks draw each mesh point independently from a seeded stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,34 +38,33 @@ def _mesh_points(num_steps: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PhaseSchedule:
-    """Per-step, per-site phase assignments for an ``num_steps``-step walk.
+    """Per-step, per-site phase assignments of a walk.
 
     ``phases`` holds one phase (radians) per mesh point, packed in
     (step, site-ascending) order: step k (1-based) owns the k entries
     ``phases[k(k-1)/2 : k(k+1)/2]``, one for each site i with |i| <= k-1
-    and i + k - 1 even.  The array is read-only; two schedules are equal
-    when their step counts and phases are.  Phases of one bit pattern
-    (0.0 and -0.0 differ) are kept as a stride-0 view of one copied phase,
-    so ``phases.strides == (0,)`` marks a constant schedule; any other
-    input is copied.  A stride-0 input is constant by construction and is
-    never scanned.  ``np.ascontiguousarray`` or ``.tobytes()`` gives the
-    packed bytes either way.
+    and i + k - 1 even.  N steps hold N(N+1)/2 phases, so ``num_steps``
+    is derived from their count, and a count no N gives is refused.  The
+    array is read-only; two schedules are equal when their phases are.
+    Phases of one bit pattern (0.0 and -0.0 differ) are kept as a stride-0
+    view of one copied phase, so ``phases.strides == (0,)`` marks a
+    constant schedule; any other input is copied.  A stride-0 input is
+    constant by construction and is never scanned.  ``np.ascontiguousarray``
+    or ``.tobytes()`` gives the packed bytes either way.
     """
 
-    num_steps: int
     phases: np.ndarray
+    num_steps: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
         phases = np.asarray(self.phases, dtype=np.float64)
-        expected = (_mesh_points(self.num_steps),)
-        if phases.shape != expected:
-            raise ValueError(f"a {self.num_steps}-step schedule needs phases of shape "
-                             f"{expected}, one per mesh point, got {phases.shape}")
+        num_steps = (math.isqrt(8 * phases.size + 1) - 1) // 2
+        if phases.ndim != 1 or num_steps < 1 or _mesh_points(num_steps) != phases.size:
+            raise ValueError("an N-step schedule needs a flat array of N(N+1)/2 phases, "
+                             f"one per mesh point, for some N >= 1, got shape {phases.shape}")
         bits = phases.view(np.uint64)
         if phases.strides == (0,) or bits.min() == bits.max():
-            phases = np.broadcast_to(phases[:1].copy(), expected)
+            phases = np.broadcast_to(phases[:1].copy(), phases.shape)
             finite = math.isfinite(phases[0])
         else:
             phases = phases.copy()
@@ -74,11 +73,12 @@ class PhaseSchedule:
         if not finite:
             raise ValueError("schedule has a non-finite phase")
         object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "num_steps", num_steps)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhaseSchedule):
             return NotImplemented
-        return self.num_steps == other.num_steps and np.array_equal(self.phases, other.phases)
+        return np.array_equal(self.phases, other.phases)
 
     def row(self, step: int) -> np.ndarray:
         """Phases of ``step`` (1-based), one per site, sites ascending."""
@@ -111,7 +111,7 @@ def ordered_schedule(num_steps: int, theta: float) -> PhaseSchedule:
     one phase is stored once, as a stride-0 view, however many steps."""
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-    return PhaseSchedule(num_steps, np.broadcast_to(float(theta), (_mesh_points(num_steps),)))
+    return PhaseSchedule(np.broadcast_to(float(theta), (_mesh_points(num_steps),)))
 
 
 def disordered_schedule(
@@ -139,7 +139,7 @@ def disordered_schedule(
         phases = rng.integers(0, 2, size=size) * math.pi
     else:
         phases = rng.uniform(0.0, 2.0 * math.pi, size=size)
-    return PhaseSchedule(num_steps, phases)
+    return PhaseSchedule(phases)
 
 
 def ensemble_schedules(num_steps: int, spec: DisorderSpec) -> list[PhaseSchedule]:

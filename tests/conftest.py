@@ -18,7 +18,7 @@ def single_coin(reflectivity: float, theta0: float = 0.0, theta1: float = 0.0) -
 
 def prefix_schedule(schedule: PhaseSchedule, num_steps: int) -> PhaseSchedule:
     """The schedule of the walk's first ``num_steps`` steps."""
-    return PhaseSchedule(num_steps, schedule.phases[:num_steps * (num_steps + 1) // 2])
+    return PhaseSchedule(schedule.phases[:num_steps * (num_steps + 1) // 2])
 
 
 def random_coin_field(sites, reflectivity: float, rng: np.random.Generator) -> np.ndarray:

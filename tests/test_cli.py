@@ -533,9 +533,9 @@ def replay_of_0_2_0(tmp_path):
     document = json.loads(MANIFEST_0_2_0)
     manifest = runner.replay(old, output_dir=tmp_path / "replayed")
     return (manifest, parse_config(document["config"]),
-            [PhaseSchedule(3, phases) for phases in document["schedules"]],
+            [PhaseSchedule(phases) for phases in document["schedules"]],
             (parse_config(document["reference"]["config"]),
-             [PhaseSchedule(3, phases) for phases in document["reference"]["schedules"]]))
+             [PhaseSchedule(phases) for phases in document["reference"]["schedules"]]))
 
 
 @pytest.mark.parametrize("case", [ordered_run, ensemble_run, reference_run, replay_of_0_2_0],
@@ -703,9 +703,86 @@ def test_without_an_address_limit_a_trajectory_is_held_to_physical_memory(monkey
     monkeypatch.setattr(runner.resource, "getrlimit", lambda _: unlimited)
     monkeypatch.setattr(runner.os, "sysconf",
                         {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}.__getitem__)  # 1 GiB
-    runner._check_trajectory_fits(8000)  # 16 * 8001 * 8002 bytes, just under
+
+    def config(steps, realizations=None):
+        mode = {"mode": "ordered"} if realizations is None else {
+            "mode": "disordered", "seed": 1, "realization_count": realizations}
+        return parse_config({"steps": steps, "reflectivity": 0.5, "schedule_mode": mode})
+
+    # An ordered walk holds one phase, two series and the trajectory:
+    # 8 + 24 * 6688 * 6689 bytes, just under, and 8 + 24 * 6689 * 6690, just over.
+    runner._check_trajectory_fits(config(6687))
     with pytest.raises(MemoryError, match="physical memory"):
-        runner._check_trajectory_fits(8200)
+        runner._check_trajectory_fits(config(6688))
+    # Ten realizations add 40 N(N+1) bytes of phases and nine more series.
+    runner._check_trajectory_fits(config(3275, 10))
+    with pytest.raises(MemoryError, match="physical memory"):
+        runner._check_trajectory_fits(config(3276, 10))
+
+
+def refuse_to_draw(*args):
+    raise AssertionError(f"drew schedules {args}")
+
+
+# 12000 steps of one binary realization hold 549 MiB of phases, two series
+# of 549 MiB and a 2.1 GiB trajectory: more than a 1 GiB address space.
+OVERSIZED_ENSEMBLE = {"steps": 12000, "schedule_mode": {
+    "mode": "disordered", "kind": "binary_0_pi", "seed": 3, "realization_count": 1}}
+
+
+def test_a_run_that_cannot_fit_is_refused_before_its_first_draw(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(runner.resource, "getrlimit", lambda _: (2**30, 2**30))
+    for name in ("ordered_schedule", "ensemble_schedules"):
+        monkeypatch.setattr(runner, name, refuse_to_draw)
+    config = write_config(tmp_path / "run.json", **OVERSIZED_ENSEMBLE)
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("beamwalk: config error: run does not fit in memory: a 12000-step")
+    assert "1 GiB address-space limit" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry", ["run", "reference"])
+def test_a_replay_that_cannot_fit_is_refused_before_any_decode(tmp_path, monkeypatch, capsys,
+                                                                entry):
+    write_config(tmp_path / "ref.json", steps=6, outputs=["distributions"])
+    config = write_config(tmp_path / "run.json", steps=6,
+                          outputs=["distributions", {"similarity_vs": "ref.json"}])
+    manifest = run_then_load_manifest(tmp_path, config)
+    bundle = manifest if entry == "run" else manifest["reference"]
+    bundle["config"].update(OVERSIZED_ENSEMBLE)
+    monkeypatch.setattr(runner.resource, "getrlimit", lambda _: (2**30, 2**30))
+    decoded = []
+    decode = runner._schedule_from_json
+
+    def watched(raw, source):
+        decoded.append(source.endswith(":reference"))
+        return decode(raw, source)
+
+    monkeypatch.setattr(runner, "_schedule_from_json", watched)
+    capsys.readouterr()
+    assert replay_document(tmp_path, manifest) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("beamwalk: config error: run does not fit in memory: a 12000-step")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "replayed").exists()
+    # The run entry is read first: only its one ordered schedule may be
+    # decoded, and only when the oversized entry is the reference.
+    assert decoded == ([] if entry == "run" else [False])
+
+
+def test_a_trillion_realizations_are_refused_before_the_first_draw(tmp_path, monkeypatch,
+                                                                   capsys):
+    # One step each, but 8 TB of phases and 24 TB of series.
+    monkeypatch.setattr(runner, "ensemble_schedules", refuse_to_draw)
+    config = write_config(tmp_path / "run.json", steps=1, schedule_mode={
+        "mode": "disordered", "seed": 1, "realization_count": 10**12})
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "run does not fit in memory: a 1-step walk's trajectory and 1000000000000" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.0, 0.3])
@@ -744,6 +821,7 @@ def with_fourth_phase(value):
 # 10**400 as an integer literal.
 TAMPERS = {
     "missing": lambda phases: phases[:3] + phases[4:],
+    "one-step-short": lambda phases: phases[:15],
     "extra": lambda phases: phases + [0.0],
     "duplicate": lambda phases: phases[:4] + phases[3:],
     "bad_phase": with_fourth_phase("pi"),
@@ -803,6 +881,7 @@ BASE64_TAMPERS = {
     "bad-padding": (6, lambda text: text[:6] + "==" + text[8:]),
     "8-bytes-missing": (6, lambda text: encode_phases(decode_phases(text)[:-1])),
     "8-bytes-extra": (6, lambda text: encode_phases(np.append(decode_phases(text), 0.0))),
+    "one-step-short": (6, lambda text: encode_phases(decode_phases(text)[:15])),
     "nan": (6, with_fourth_phase_bytes(float("nan"))),
     "infinity": (6, with_fourth_phase_bytes(float("inf"))),
     "non-ascii": (6, lambda text: text[:10] + "\u03c0" + text[11:]),

@@ -366,7 +366,7 @@ def near_constant(num_steps, kind):
         phases[-1] = 1.1
     else:
         phases[::3] = -0.0
-    return PhaseSchedule(num_steps, phases)
+    return PhaseSchedule(phases)
 
 
 @pytest.mark.parametrize("kind", ["last point", "signed zeros"])

@@ -219,7 +219,7 @@ def test_manifest_schedules_round_trip_bit_for_bit(ensemble):
     config = parse_config({"steps": num_steps, "reflectivity": 0.5,
                            "schedule_mode": {"mode": "disordered", "seed": 0,
                                              "realization_count": len(phases)}})
-    text = "".join(_manifest_json(config, [PhaseSchedule(num_steps, p) for p in phases], None))
+    text = "".join(_manifest_json(config, [PhaseSchedule(p) for p in phases], None))
     read_config, schedules = _read_bundle(json.loads(text), "manifest.json")
     assert read_config == config
     assert len(schedules) == len(phases)

@@ -49,8 +49,8 @@ def test_schedule_support_matches_the_light_cone():
 def test_zero_steps_rejected():
     with pytest.raises(ValueError, match="num_steps"):
         ordered_schedule(0, 0.0)
-    with pytest.raises(ValueError, match="num_steps must be >= 1"):
-        PhaseSchedule(0, [])
+    with pytest.raises(ValueError, match=r"N\(N\+1\)/2 phases"):
+        PhaseSchedule([])
     with pytest.raises(ValueError, match="num_steps must be >= 1"):
         disordered_schedule(0, DisorderSpec(BINARY_0_PI, seed=1, realization_count=1), 0)
 
@@ -147,19 +147,39 @@ def test_disorder_spec_validation():
 
 def test_phase_schedule_rejects_wrong_support():
     with pytest.raises(ValueError, match="one per mesh point"):
-        PhaseSchedule(2, [0.0])
+        PhaseSchedule([0.0, 0.0])
     with pytest.raises(ValueError, match="one per mesh point"):
-        PhaseSchedule(2, [0.0, 0.0, 0.0, 0.0])
+        PhaseSchedule([0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="one per mesh point"):
-        PhaseSchedule(2, [[0.0], [0.0], [0.0]])
+        PhaseSchedule([[0.0], [0.0], [0.0]])
     with pytest.raises(ValueError, match="finite"):
-        PhaseSchedule(1, [float("inf")])
+        PhaseSchedule([float("inf")])
     with pytest.raises(ValueError, match="finite"):
-        PhaseSchedule(2, [0.0, float("nan"), 0.0])
+        PhaseSchedule([0.0, float("nan"), 0.0])
+
+
+@pytest.mark.parametrize("size", [2, 4, 5, 7, 9, 20, 22])
+def test_a_phase_count_no_walk_has_is_refused(size):
+    # N steps hold N(N+1)/2 phases: 1, 3, 6, 10, 15, 21, ...
+    with pytest.raises(ValueError, match=r"N\(N\+1\)/2 phases, one per mesh point"):
+        PhaseSchedule(np.zeros(size))
+
+
+@pytest.mark.parametrize("num_steps", [1, 2, 3, 6, 40])
+def test_the_step_count_is_the_one_the_phase_count_fixes(num_steps):
+    schedule = PhaseSchedule(np.arange(num_steps * (num_steps + 1) // 2, dtype=float))
+    assert schedule.num_steps == num_steps
+    assert schedule.row(num_steps).size == num_steps
+
+
+def test_a_separate_step_count_is_not_accepted():
+    # the phase count is the one record of the step count
+    with pytest.raises(TypeError):
+        PhaseSchedule(3, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
 
 
 def test_packed_phases_follow_step_then_site_order():
-    schedule = PhaseSchedule(3, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    schedule = PhaseSchedule([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
     assert schedule.row(1).tolist() == [0.1]
     assert schedule.row(2).tolist() == [0.2, 0.3]
     assert schedule.row(3).tolist() == [0.4, 0.5, 0.6]
@@ -175,7 +195,7 @@ def test_rows_outside_the_schedule_are_schedule_errors():
 
 def test_phases_are_read_only_and_copied():
     source = np.zeros(3)
-    schedule = PhaseSchedule(2, source)
+    schedule = PhaseSchedule(source)
     source[0] = 1.0
     assert schedule.row(1).tolist() == [0.0]
     with pytest.raises(ValueError):
@@ -183,7 +203,7 @@ def test_phases_are_read_only_and_copied():
 
 
 def test_equality_is_by_value():
-    assert ordered_schedule(3, 0.5) == PhaseSchedule(3, [0.5] * 6)
+    assert ordered_schedule(3, 0.5) == PhaseSchedule([0.5] * 6)
     assert ordered_schedule(3, 0.5) != ordered_schedule(3, 0.25)
     assert ordered_schedule(2, 0.5) != ordered_schedule(3, 0.5)
     assert ordered_schedule(2, 0.5) != "schedule"
@@ -209,7 +229,7 @@ def test_a_constant_list_or_buffer_becomes_one_copied_phase():
     listed = [0.3] * 6
     buffered = np.frombuffer(bytearray(np.full(6, 0.3).tobytes()), np.float64)
     for source in (listed, buffered):
-        schedule = PhaseSchedule(3, source)
+        schedule = PhaseSchedule(source)
         assert schedule.phases.strides == (0,)
         source[0] = 1.1
         source[5] = 1.1
@@ -224,7 +244,7 @@ def test_a_constant_list_or_buffer_becomes_one_copied_phase():
 ], ids=["signed zeros", "near constant"])
 def test_phases_of_two_bit_patterns_stay_a_contiguous_copy(phases):
     source = np.array(phases)
-    schedule = PhaseSchedule(3, source)
+    schedule = PhaseSchedule(source)
     assert schedule.phases.strides == (8,)
     assert schedule.phases.flags.c_contiguous and not schedule.phases.flags.writeable
     assert not np.shares_memory(schedule.phases, source)
@@ -234,7 +254,7 @@ def test_phases_of_two_bit_patterns_stay_a_contiguous_copy(phases):
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_a_constant_non_finite_phase_is_refused(value):
     with pytest.raises(ValueError, match="non-finite"):
-        PhaseSchedule(3, [value] * 6)
+        PhaseSchedule([value] * 6)
     with pytest.raises(ValueError, match="non-finite"):
         ordered_schedule(3, value)
 
@@ -246,7 +266,7 @@ BROADCAST_CHILD = """
 import numpy as np
 from beamwalk import PhaseSchedule
 points = 10**9 * (10**9 + 1) // 2
-schedule = PhaseSchedule(10**9, np.broadcast_to(0.0, (points,)))
+schedule = PhaseSchedule(np.broadcast_to(0.0, (points,)))
 assert schedule.phases.strides == (0,) and schedule.phases.size == points
 assert schedule.row(10**9).shape == (10**9,)
 """
