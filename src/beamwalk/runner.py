@@ -204,11 +204,9 @@ def _schedule_from_json(raw, source: str) -> PhaseSchedule:
         raise ConfigError(f"{source}: bad serialized schedule: {exc}") from exc
 
 
-def _read_bundle(bundle: dict, source: str) -> tuple[RunConfig, list[PhaseSchedule]]:
-    """Decode a run entry that ``_bundle_json`` wrote: its config, checked to
-    fit before any schedule is decoded, and its schedules, of the config's steps."""
-    config = parse_config(bundle.get("config"), source=f"{source}:config")
-    _check_trajectory_fits(config)
+def _read_schedules(bundle: dict, config: RunConfig, source: str) -> list[PhaseSchedule]:
+    """Decode the schedules ``_bundle_json`` wrote for ``config``, once
+    ``_admit`` has let it start: one per realization, each of its steps."""
     raw = bundle.get("schedules", [])
     expected = 1 if config.disorder is None else config.disorder.realization_count
     if not isinstance(raw, list) or len(raw) != expected:
@@ -217,26 +215,26 @@ def _read_bundle(bundle: dict, source: str) -> tuple[RunConfig, list[PhaseSchedu
     schedules = [_schedule_from_json(obj, source) for obj in raw]
     if any(schedule.num_steps != config.steps for schedule in schedules):
         raise ConfigError(f"{source}: bad serialized schedule: phases not of {config.steps} steps")
-    return config, schedules
+    return schedules
 
 
-def _check_reference_steps(config: RunConfig, ref_config: RunConfig, source: str) -> None:
-    if ref_config.steps != config.steps:
-        raise ConfigError(
-            f"{source}: reference run has {ref_config.steps} steps, "
-            f"this run has {config.steps}; similarity needs matching steps"
-        )
-
-
-def _check_trajectory_fits(config: RunConfig) -> None:
-    """Refuse, as a ``MemoryError``, an N-step run of R realizations whose
-    R schedules of 8N(N+1)/2 bytes (8 if ordered), R + 1 series of 4(N+1)(N+2)
-    (the realizations and their mean) and one 16(N+1)(N+2)-byte trajectory
-    exceed the soft address-space limit, or physical memory when none is set."""
+def _admit(config: RunConfig, ref_config: RunConfig | None, source: str) -> None:
+    """Refuse, before any schedule is drawn or decoded, a similarity_vs
+    reference ``ref_config`` (read from ``source``) whose steps differ from the
+    run's N, then, as a ``MemoryError``, runs whose R schedules of 8N(N+1)/2
+    bytes (8 if ordered) and R + 1 series of 4(N+1)(N+2) each, with the one
+    16(N+1)(N+2)-byte trajectory they walk in turn, exceed the soft
+    address-space limit, or physical memory when none is set."""
     steps = config.steps
-    count = 1 if config.disorder is None else config.disorder.realization_count
-    phases = 8 if config.disorder is None else count * 8 * _mesh_points(steps)
-    need = phases + (count + 1) * 4 * (steps + 1) * (steps + 2) + 16 * (steps + 1) * (steps + 2)
+    if ref_config is not None and ref_config.steps != steps:
+        raise ConfigError(f"{source}: reference run has {ref_config.steps} steps, "
+                          f"this run has {steps}; similarity needs matching steps")
+    count, need = 0, 16 * (steps + 1) * (steps + 2)
+    for each in (config,) if ref_config is None else (config, ref_config):
+        realizations = 1 if each.disorder is None else each.disorder.realization_count
+        count += realizations
+        need += 8 if each.disorder is None else realizations * 8 * _mesh_points(steps)
+        need += (realizations + 1) * 4 * (steps + 1) * (steps + 2)
     limit, what = resource.getrlimit(resource.RLIMIT_AS)[0], "address-space limit"
     if limit == resource.RLIM_INFINITY:
         limit, what = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
@@ -251,13 +249,13 @@ def _execute(
     reference: tuple[RunConfig, list[PhaseSchedule]] | None,
     output_dir: str | Path | None,
 ) -> Path:
-    """Write the requested data files, then the manifest, into
-    ``output_dir`` or else the config's.  The oracle check runs last, so a
-    failing check (exit 2) leaves every other file written."""
-    out_dir = Path(output_dir if output_dir is not None else config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Walk every realization, then make ``output_dir`` (or else the config's)
+    and write the requested data files, then the manifest, into it.  The oracle
+    check runs last, so a failing check (exit 2) leaves every other file written."""
     series_all, finals = _simulate(config, schedules)
     mean = ensemble_mean_series(series_all)
+    out_dir = Path(output_dir if output_dir is not None else config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     for item in config.outputs:
         if item == "distributions":
@@ -294,28 +292,25 @@ def run(
     """Execute a run; returns the path of the manifest it wrote.
 
     ``base_dir`` anchors relative similarity_vs references (defaults to
-    the working directory); ``output_dir`` overrides the config's.  A run
-    or reference that cannot fit in memory, or a reference that cannot be
-    read or whose steps differ, is refused before any schedule is drawn.
+    the working directory); ``output_dir`` overrides the config's.  The run
+    and its loaded reference are admitted together before any draw.
     """
-    _check_trajectory_fits(config)
-    reference = None
+    ref_path = ref_config = None
     if config.similarity_vs is not None:
         ref_path = Path(base_dir if base_dir is not None else Path.cwd()) / config.similarity_vs
         ref_config = load_config(ref_path)
-        _check_reference_steps(config, ref_config, str(ref_path))
-        _check_trajectory_fits(ref_config)
-        reference = (ref_config, _schedules_for(ref_config))
+    _admit(config, ref_config, str(ref_path))
+    reference = None if ref_config is None else (ref_config, _schedules_for(ref_config))
     return _execute(config, _schedules_for(config), reference, output_dir)
 
 
 def replay(manifest_path: str | Path, output_dir: str | Path | None = None) -> Path:
     """Re-run a manifest using its serialized schedules.
 
-    Reads the manifest's run entry, and its reference entry when the run
-    compares against one, then executes them as ``run`` does.  Reproduces
-    every data file of the original run byte for byte; only the new
-    manifest's timestamp differs.  ``output_dir`` overrides the config's.
+    Parses the run's config, and its reference's when it compares against
+    one, admits both as ``run`` does, then decodes and executes them.
+    Reproduces every data file of the original run byte for byte; only the
+    new manifest's timestamp differs.  ``output_dir`` overrides the config's.
     """
     manifest_path = Path(manifest_path)
     with reading(manifest_path):
@@ -323,13 +318,17 @@ def replay(manifest_path: str | Path, output_dir: str | Path | None = None) -> P
     if not isinstance(document, dict) or "config" not in document:
         raise ConfigError(f"{manifest_path}: not a run manifest")
 
-    config, schedules = _read_bundle(document, str(manifest_path))
-    reference = None
+    config = parse_config(document["config"], source=f"{manifest_path}:config")
+    ref_source, ref_config = f"{manifest_path}:reference", None
     if config.similarity_vs is not None:
         if not isinstance(document.get("reference"), dict):
             raise ConfigError(f"{manifest_path}: manifest lacks the reference run data")
-        reference = _read_bundle(document["reference"], f"{manifest_path}:reference")
-        _check_reference_steps(config, reference[0], f"{manifest_path}:reference")
+        ref_config = parse_config(document["reference"].get("config"),
+                                  source=f"{ref_source}:config")
+    _admit(config, ref_config, ref_source)
+    schedules = _read_schedules(document, config, str(manifest_path))
+    reference = None if ref_config is None else (
+        ref_config, _read_schedules(document["reference"], ref_config, ref_source))
     # Only the decoded schedules live on through the run, not every
     # schedule's base64 in the parsed document.
     del document

@@ -335,7 +335,7 @@ def test_norm_drift_exits_two(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "norm drift" in err
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_nan_norm_drift_exits_two(tmp_path, monkeypatch, capsys):
@@ -356,7 +356,7 @@ def test_a_nan_norm_drift_exits_two(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "norm drift nan at step 2" in err
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_nan_oracle_deviation_fails_the_check(tmp_path):
@@ -711,13 +711,19 @@ def test_without_an_address_limit_a_trajectory_is_held_to_physical_memory(monkey
 
     # An ordered walk holds one phase, two series and the trajectory:
     # 8 + 24 * 6688 * 6689 bytes, just under, and 8 + 24 * 6689 * 6690, just over.
-    runner._check_trajectory_fits(config(6687))
+    runner._admit(config(6687), None, "ref.json")
     with pytest.raises(MemoryError, match="physical memory"):
-        runner._check_trajectory_fits(config(6688))
+        runner._admit(config(6688), None, "ref.json")
     # Ten realizations add 40 N(N+1) bytes of phases and nine more series.
-    runner._check_trajectory_fits(config(3275, 10))
+    runner._admit(config(3275, 10), None, "ref.json")
     with pytest.raises(MemoryError, match="physical memory"):
-        runner._check_trajectory_fits(config(3276, 10))
+        runner._admit(config(3276, 10), None, "ref.json")
+    # An ordered reference adds its phase and two series, and walks through
+    # the same trajectory: 16 + 32 * 5792 * 5793 bytes, just under, and
+    # 16 + 32 * 5793 * 5794, just over.
+    runner._admit(config(5791), config(5791), "ref.json")
+    with pytest.raises(MemoryError, match="2 realization"):
+        runner._admit(config(5792), config(5792), "ref.json")
 
 
 def refuse_to_draw(*args):
@@ -743,6 +749,19 @@ def test_a_run_that_cannot_fit_is_refused_before_its_first_draw(tmp_path, monkey
     assert not (tmp_path / "out").exists()
 
 
+def watch_decodes(monkeypatch):
+    """Record the source of each schedule decoded from here on; returns the record."""
+    decoded = []
+    decode = runner._schedule_from_json
+
+    def watched(raw, source):
+        decoded.append(source)
+        return decode(raw, source)
+
+    monkeypatch.setattr(runner, "_schedule_from_json", watched)
+    return decoded
+
+
 @pytest.mark.parametrize("entry", ["run", "reference"])
 def test_a_replay_that_cannot_fit_is_refused_before_any_decode(tmp_path, monkeypatch, capsys,
                                                                 entry):
@@ -750,26 +769,54 @@ def test_a_replay_that_cannot_fit_is_refused_before_any_decode(tmp_path, monkeyp
     config = write_config(tmp_path / "run.json", steps=6,
                           outputs=["distributions", {"similarity_vs": "ref.json"}])
     manifest = run_then_load_manifest(tmp_path, config)
+    manifest["config"]["steps"] = manifest["reference"]["config"]["steps"] = 12000
     bundle = manifest if entry == "run" else manifest["reference"]
     bundle["config"].update(OVERSIZED_ENSEMBLE)
     monkeypatch.setattr(runner.resource, "getrlimit", lambda _: (2**30, 2**30))
-    decoded = []
-    decode = runner._schedule_from_json
-
-    def watched(raw, source):
-        decoded.append(source.endswith(":reference"))
-        return decode(raw, source)
-
-    monkeypatch.setattr(runner, "_schedule_from_json", watched)
+    decoded = watch_decodes(monkeypatch)
     capsys.readouterr()
     assert replay_document(tmp_path, manifest) == 1
     err = capsys.readouterr().err
     assert err.startswith("beamwalk: config error: run does not fit in memory: a 12000-step")
+    assert "and 2 realization(s) need" in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "replayed").exists()
-    # The run entry is read first: only its one ordered schedule may be
-    # decoded, and only when the oversized entry is the reference.
-    assert decoded == ([] if entry == "run" else [False])
+    # Both configs are admitted together before either entry is decoded.
+    assert decoded == []
+
+
+def test_a_run_and_reference_that_fit_alone_but_not_together_are_refused(tmp_path, monkeypatch,
+                                                                         capsys):
+    # Each 6500-step ordered walk holds 8 + 24 * 6501 * 6502 bytes, 0.94 GiB;
+    # the reference adds 8 + 8 * 6501 * 6502 to the run, 1.26 GiB in all.
+    monkeypatch.setattr(runner.resource, "getrlimit", lambda _: (2**30, 2**30))
+    for name in ("ordered_schedule", "ensemble_schedules"):
+        monkeypatch.setattr(runner, name, refuse_to_draw)
+    write_config(tmp_path / "ref.json", steps=6500, schedule_mode={"mode": "ordered",
+                                                                   "theta": 0.3})
+    config = write_config(tmp_path / "run.json", steps=6500,
+                          outputs=["variances", {"similarity_vs": "ref.json"}])
+    for alone in (load_config(tmp_path / "ref.json"), load_config(config)):
+        runner._admit(alone, None, "ref.json")
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("beamwalk: config error: run does not fit in memory: a 6500-step "
+                          "walk's trajectory and 2 realization(s) need 1.26 GiB")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_walk_that_fails_to_allocate_leaves_no_output_directory(tmp_path, monkeypatch, capsys):
+    def cannot_allocate(*args):
+        raise MemoryError("Unable to allocate 161. MiB")
+
+    monkeypatch.setattr(runner, "evolve", cannot_allocate)
+    config = write_config(tmp_path / "run.json")
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("beamwalk: config error: run does not fit in memory: Unable")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_trillion_realizations_are_refused_before_the_first_draw(tmp_path, monkeypatch,
@@ -959,7 +1006,7 @@ def test_a_refused_reference_draws_no_schedule(tmp_path, monkeypatch, capsys, re
     assert not (tmp_path / "out").exists()
 
 
-def test_replay_checks_the_reference_step_count(tmp_path, capsys):
+def test_replay_checks_the_reference_step_count(tmp_path, monkeypatch, capsys):
     write_config(tmp_path / "ref.json", outputs=["distributions"])
     config = write_config(tmp_path / "run.json", outputs=[{"similarity_vs": "ref.json"}])
     manifest = run_then_load_manifest(tmp_path, config)
@@ -967,12 +1014,14 @@ def test_replay_checks_the_reference_step_count(tmp_path, capsys):
     assert main(["run", str(longer)]) == 0
     longer_manifest = json.loads((tmp_path / "ref4" / "manifest.json").read_text())
     manifest["reference"] = {key: longer_manifest[key] for key in ("config", "schedules")}
+    decoded = watch_decodes(monkeypatch)
     capsys.readouterr()
     assert replay_document(tmp_path, manifest) == 1
     err = capsys.readouterr().err
     assert "reference run has 4 steps, this run has 3" in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "replayed" / "similarity.txt").exists()
+    assert decoded == []
 
 
 # json writes the floats as NaN, Infinity and -Infinity, which json.loads

@@ -384,7 +384,8 @@ def test_a_replayed_ordered_manifest_walks_one_splitter_bit_for_bit(monkeypatch,
     config = parse_config({"steps": 60, "reflectivity": 0.44,
                            "schedule_mode": {"mode": "ordered", "theta": 1.1}})
     manifest = runner.run(config, output_dir=tmp_path / "run")
-    _, [schedule] = runner._read_bundle(json.loads(manifest.read_text()), str(manifest))
+    document = json.loads(manifest.read_text())
+    [schedule] = runner._read_schedules(document, parse_config(document["config"]), str(manifest))
     assert schedule.phases.strides == (0,)
     expected = stepwise(initial_state(), schedule, 0.44, 0.0)
     sizes = splitter_sizes(monkeypatch)

@@ -30,7 +30,7 @@ from beamwalk import (
 )
 from beamwalk.config import parse_config
 from beamwalk.measure import _variance_table
-from beamwalk.runner import _manifest_json, _read_bundle
+from beamwalk.runner import _manifest_json, _read_schedules
 from conftest import random_coin_field, random_walker_state
 
 reflectivities = st.one_of(
@@ -220,7 +220,9 @@ def test_manifest_schedules_round_trip_bit_for_bit(ensemble):
                            "schedule_mode": {"mode": "disordered", "seed": 0,
                                              "realization_count": len(phases)}})
     text = "".join(_manifest_json(config, [PhaseSchedule(p) for p in phases], None))
-    read_config, schedules = _read_bundle(json.loads(text), "manifest.json")
+    document = json.loads(text)
+    read_config = parse_config(document["config"])
+    schedules = _read_schedules(document, read_config, "manifest.json")
     assert read_config == config
     assert len(schedules) == len(phases)
     for schedule, written in zip(schedules, phases):
