@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import ScheduleError
-from .schedules import PhaseSchedule, _mesh_points
+from .schedules import PhaseSchedule, _mesh_points, _steps_within
 from .state import WalkerState
 
 __all__ = ["apply_coin_layer", "apply_shift", "coin_field", "evolve"]
@@ -174,7 +174,7 @@ def evolve(
         else:
             # The next block: steps done+1..stop, as many as fit in
             # _BLOCK_POINTS mesh points, and at least one.
-            fit = (math.isqrt(8 * (base + _BLOCK_POINTS) + 1) - 1) // 2
+            fit = _steps_within(base + _BLOCK_POINTS)
             stop = min(schedule.num_steps, max(done + 1, fit))
             thetas = schedule.phases[base:_mesh_points(stop)]
         block = np.broadcast_to(_splitters(thetas, reflectivity, phase_gauge),

@@ -6,8 +6,8 @@ bytes, so any run can be replayed bit-for-bit from its manifest alone,
 without regenerating disorder from the seed.  The manifest is written
 one schedule at a time, in the same bytes as one ``json.dumps`` of the
 whole document, and replay releases the parsed manifest before it runs.
-One writer, ``_write_text``, opens every file a run writes; each table
-reaches it as a stream of lines, written row by row as they are formed.
+A run forms every file before its output directory exists; then one
+loop writes them through ``_write_text``, each a stream of lines.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import base64
 import datetime
 import json
-import math
 import os
 import resource
 from collections.abc import Iterable, Iterator
@@ -65,11 +64,11 @@ def _schedules_for(config: RunConfig) -> list[PhaseSchedule]:
     return ensemble_schedules(config.steps, config.disorder)
 
 
-def _simulate(
+def _walk(
     config: RunConfig, schedules: list[PhaseSchedule]
-) -> tuple[list[DistributionSeries], list[WalkerState]]:
-    """Evolve every realization; returns per-realization series (steps
-    0..N) and the final states."""
+) -> tuple[DistributionSeries, list[DistributionSeries], list[WalkerState]]:
+    """Evolve every realization; returns the ensemble mean series, the
+    per-realization series (steps 0..N) and the final states."""
     series_all: list[DistributionSeries] = []
     finals: list[WalkerState] = []
     for index, schedule in enumerate(schedules):
@@ -84,7 +83,7 @@ def _simulate(
                 )
         series_all.append(series_from_trajectory(trajectory))
         finals.append(trajectory[-1])
-    return series_all, finals
+    return ensemble_mean_series(series_all), series_all, finals
 
 
 def _distributions_csv(series: DistributionSeries, to_step_max: bool) -> Iterator[str]:
@@ -104,36 +103,19 @@ def _variances_csv(variances: np.ndarray) -> Iterator[str]:
         yield f"{step},{_fmt(value)}\n"
 
 
-def _layout_csv(num_steps: int) -> Iterator[str]:
+def _layout_csv(rows: list[tuple[int, int, int, str, int, str]]) -> Iterator[str]:
     yield "step,site,coin,interferometer,plane,direction\n"
-    for step, site, coin, interferometer, plane, direction in layout_table(num_steps):
+    for step, site, coin, interferometer, plane, direction in rows:
         yield f"{step},{site},{coin},{interferometer},{plane},{direction}\n"
 
 
-def _oracle_check(
-    config: RunConfig,
-    schedules: list[PhaseSchedule],
-    finals: list[WalkerState],
-    path: Path,
-) -> None:
-    lines = [f"tolerance {_fmt(ORACLE_TOLERANCE)}\n"]
-    worst = 0.0
-    for index, (schedule, final) in enumerate(zip(schedules, finals)):
-        reference = oracle_state(config.initial_coin, schedule, config.reflectivity)
-        deviation = float(np.max(np.abs(reference.amplitudes - final.amplitudes)))
-        # max(worst, nan) would keep worst: a NaN deviation must stay the worst.
-        if deviation > worst or math.isnan(deviation):
-            worst = deviation
-        lines.append(f"realization {index} max_deviation {_fmt(deviation)}\n")
-    lines.append(f"overall_max_deviation {_fmt(worst)}\n")
-    passed = worst <= ORACLE_TOLERANCE
-    lines.append("status pass\n" if passed else "status fail\n")
-    _write_text(path, lines)
-    if not passed:
-        raise NumericalInvariantError(
-            f"path-sum check deviates by {worst:.3e} (tolerance {ORACLE_TOLERANCE:.0e}); "
-            f"see {path}"
-        )
+def _oracle_txt(deviations: np.ndarray, worst: float) -> Iterator[str]:
+    """The path-sum check's lines; ``worst`` is NaN if any deviation is."""
+    yield f"tolerance {_fmt(ORACLE_TOLERANCE)}\n"
+    for index, deviation in enumerate(deviations.tolist()):
+        yield f"realization {index} max_deviation {_fmt(deviation)}\n"
+    yield f"overall_max_deviation {_fmt(worst)}\n"
+    yield "status pass\n" if worst <= ORACLE_TOLERANCE else "status fail\n"
 
 
 def _similarity_txt(mean: DistributionSeries,
@@ -249,36 +231,46 @@ def _execute(
     reference: tuple[RunConfig, list[PhaseSchedule]] | None,
     output_dir: str | Path | None,
 ) -> Path:
-    """Walk every realization, then make ``output_dir`` (or else the config's)
-    and write the requested data files, then the manifest, into it.  The oracle
-    check runs last, so a failing check (exit 2) leaves every other file written."""
-    series_all, finals = _simulate(config, schedules)
-    mean = ensemble_mean_series(series_all)
-    out_dir = Path(output_dir if output_dir is not None else config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    """Form every requested data file (both walks, then the path sum last), then
+    make ``output_dir`` (or else the config's) and write them, so a failure while
+    forming leaves no directory; a failing path-sum check (exit 2) is raised
+    after they are written, before the manifest."""
+    mean, series_all, finals = _walk(config, schedules)
+    files: dict[str, Iterator[str]] = {}
     for item in config.outputs:
         if item == "distributions":
-            _write_text(out_dir / "distributions.csv",
-                        _distributions_csv(mean, config.normalize_to_step_max))
+            files["distributions.csv"] = _distributions_csv(mean, config.normalize_to_step_max)
         elif item == "variances":
             # Row 0 is the mean and each further row a realization; column 0
             # is step 0, which the files leave out.
             runs = [mean] if config.disorder is None else [mean, *series_all]
             table = _variance_table(runs)[:, 1:]
-            _write_text(out_dir / "variances.csv", _variances_csv(table[0]))
+            files["variances.csv"] = _variances_csv(table[0])
             for j, variances in enumerate(table[1:]):
-                _write_text(out_dir / f"variances_r{j}.csv", _variances_csv(variances))
+                files[f"variances_r{j}.csv"] = _variances_csv(variances)
         elif item == "layout":
-            _write_text(out_dir / "layout.csv", _layout_csv(config.steps))
+            files["layout.csv"] = _layout_csv(layout_table(config.steps))
     if reference is not None:
-        ref_config, ref_schedules = reference
-        ref_series, _ = _simulate(ref_config, ref_schedules)
-        _write_text(out_dir / "similarity.txt",
-                    _similarity_txt(mean, ensemble_mean_series(ref_series)))
+        files["similarity.txt"] = _similarity_txt(mean, _walk(*reference)[0])
+    worst = 0.0
     if "oracle_check" in config.outputs:
-        _oracle_check(config, schedules, finals, out_dir / "oracle_check.txt")
+        exact = (oracle_state(config.initial_coin, schedule, config.reflectivity)
+                 for schedule in schedules)
+        deviations = np.array([np.max(np.abs(state.amplitudes - final.amplitudes))
+                               for state, final in zip(exact, finals)])
+        # np.max keeps a NaN deviation the worst.
+        worst = float(np.max(deviations))
+        files["oracle_check.txt"] = _oracle_txt(deviations, worst)
 
+    out_dir = Path(output_dir if output_dir is not None else config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, chunks in files.items():
+        _write_text(out_dir / name, chunks)
+    if not worst <= ORACLE_TOLERANCE:
+        raise NumericalInvariantError(
+            f"path-sum check deviates by {worst:.3e} (tolerance {ORACLE_TOLERANCE:.0e}); "
+            f"see {out_dir / 'oracle_check.txt'}"
+        )
     manifest_path = out_dir / "manifest.json"
     _write_text(manifest_path, _manifest_json(config, schedules, reference))
     return manifest_path

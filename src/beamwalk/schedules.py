@@ -36,6 +36,11 @@ def _mesh_points(num_steps: int) -> int:
     return num_steps * (num_steps + 1) // 2
 
 
+def _steps_within(points: int) -> int:
+    """The inverse of ``_mesh_points``: the largest N with N(N+1)/2 <= ``points``."""
+    return (math.isqrt(8 * points + 1) - 1) // 2
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseSchedule:
     """Per-step, per-site phase assignments of a walk.
@@ -58,7 +63,7 @@ class PhaseSchedule:
 
     def __post_init__(self) -> None:
         phases = np.asarray(self.phases, dtype=np.float64)
-        num_steps = (math.isqrt(8 * phases.size + 1) - 1) // 2
+        num_steps = _steps_within(phases.size)
         if phases.ndim != 1 or num_steps < 1 or _mesh_points(num_steps) != phases.size:
             raise ValueError("an N-step schedule needs a flat array of N(N+1)/2 phases, "
                              f"one per mesh point, for some N >= 1, got shape {phases.shape}")

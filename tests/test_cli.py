@@ -18,7 +18,6 @@ import beamwalk
 from beamwalk import (
     BINARY_0_PI,
     DisorderSpec,
-    NumericalInvariantError,
     PhaseSchedule,
     WalkerState,
     disordered_schedule,
@@ -359,24 +358,28 @@ def test_a_nan_norm_drift_exits_two(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_a_nan_oracle_deviation_fails_the_check(tmp_path):
-    import beamwalk.runner as runner
+def test_a_nan_oracle_deviation_fails_the_check(tmp_path, monkeypatch, capsys):
+    real, calls = runner.oracle_state, []
 
-    config = parse_config({"steps": 4, "reflectivity": 0.5,
-                           "schedule_mode": {"mode": "disordered", "seed": 5,
-                                             "realization_count": 3}})
-    schedules = runner._schedules_for(config)
-    _, finals = runner._simulate(config, schedules)
-    amplitudes = finals[0].amplitudes.copy()
-    amplitudes[1, 2] = np.nan
-    finals[0] = WalkerState(amplitudes)
-    path = tmp_path / "oracle_check.txt"
-    with pytest.raises(NumericalInvariantError, match="deviates by nan"):
-        runner._oracle_check(config, schedules, finals, path)
-    lines = path.read_text().splitlines()
+    def poisoned(initial_coin, schedule, reflectivity):
+        amplitudes = real(initial_coin, schedule, reflectivity).amplitudes.copy()
+        calls.append(schedule)
+        if len(calls) == 1:  # realization 0
+            amplitudes[1, 2] = np.nan
+        return WalkerState(amplitudes)
+
+    monkeypatch.setattr(runner, "oracle_state", poisoned)
+    config = write_config(tmp_path / "run.json", steps=4, outputs=["oracle_check"],
+                          schedule_mode={"mode": "disordered", "seed": 5,
+                                         "realization_count": 3})
+    assert main(["run", str(config)]) == 2
+    assert "deviates by nan" in capsys.readouterr().err
+    assert len(calls) == 3
+    lines = (tmp_path / "out" / "oracle_check.txt").read_text().splitlines()
     # the finite deviations after it do not hide the NaN
     assert lines[1] == "realization 0 max_deviation nan"
     assert lines[-2:] == ["overall_max_deviation nan", "status fail"]
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_a_nan_oracle_deviation_exits_two(tmp_path, monkeypatch, capsys):
@@ -806,12 +809,31 @@ def test_a_run_and_reference_that_fit_alone_but_not_together_are_refused(tmp_pat
     assert not (tmp_path / "out").exists()
 
 
-def test_a_walk_that_fails_to_allocate_leaves_no_output_directory(tmp_path, monkeypatch, capsys):
-    def cannot_allocate(*args):
-        raise MemoryError("Unable to allocate 161. MiB")
+# (the call that cannot allocate, on which of its calls, the run's outputs);
+# every file but the manifest is formed before the output directory is made.
+FAILING_CALLS = {
+    "run-walk": ("evolve", 1, ["distributions", "variances"]),
+    "reference-walk": ("evolve", 2, ["variances", {"similarity_vs": "ref.json"}]),
+    "path-sum": ("oracle_state", 1, ["distributions", "variances", "oracle_check"]),
+    "layout": ("layout_table", 1, ["distributions", "layout"]),
+}
 
-    monkeypatch.setattr(runner, "evolve", cannot_allocate)
-    config = write_config(tmp_path / "run.json")
+
+@pytest.mark.parametrize("case", FAILING_CALLS)
+def test_a_walk_that_fails_to_allocate_leaves_no_output_directory(tmp_path, monkeypatch, capsys,
+                                                                 case):
+    name, failing_call, outputs = FAILING_CALLS[case]
+    real, calls = getattr(runner, name), []
+
+    def cannot_allocate(*args):
+        calls.append(args)
+        if len(calls) == failing_call:
+            raise MemoryError("Unable to allocate 161. MiB")
+        return real(*args)
+
+    monkeypatch.setattr(runner, name, cannot_allocate)
+    write_config(tmp_path / "ref.json")
+    config = write_config(tmp_path / "run.json", outputs=outputs)
     assert main(["run", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("beamwalk: config error: run does not fit in memory: Unable")
